@@ -2,9 +2,10 @@
 """Plot the paper's figures from bench CSV or --stats-json exports.
 
 Usage:
-  build/bench/bench_fig5_speedup --quiet --csv=fig5.csv
-  build/bench/bench_fig6_conflicts --quiet --stats-json=fig6.json
-  ...
+  build/bench/camps_bench fig5_speedup --quiet --csv=fig5.csv
+  build/bench/camps_bench fig6_conflicts --quiet --stats-json=fig6.json
+  build/bench/camps_bench fig7_accuracy fig8_amat --quiet --csv=figs.csv
+      (several presets: writes figs.fig7_accuracy.csv, figs.fig8_amat.csv)
   scripts/plot_figures.py fig5.csv fig6.json ...
 
 A .json input is a bench --stats-json document; its "table" object carries

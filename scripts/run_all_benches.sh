@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
-# Runs every figure/table/ablation bench sequentially and tees the combined
-# output. Usage: scripts/run_all_benches.sh [outfile] [extra bench args...]
+# Runs every figure/table/ablation/extension preset in one camps_bench
+# invocation, then the micro-benchmarks, and tees the combined output.
+# Usage: scripts/run_all_benches.sh [outfile] [extra camps_bench args...]
 # e.g. scripts/run_all_benches.sh bench_output.txt --quick --jobs=4
 #
-# Extra args are passed to every figure/table bench; --jobs=N runs each
-# bench's simulations on N worker threads (tables are byte-identical for any
-# N, so parallelism is purely a wall-clock lever). The micro-benchmarks
-# take their own flags and are special-cased.
+# Extra args go to camps_bench only; --jobs=N runs the simulations on N
+# worker threads (tables are byte-identical for any N, so parallelism is
+# purely a wall-clock lever). One invocation lets the presets share runs:
+# fig5-9 all read the same (workload, scheme) simulations. The
+# micro-benchmarks take their own flags.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -14,20 +16,14 @@ out="${1:-bench_output.txt}"
 shift || true
 
 {
-  for b in build/bench/bench_*; do
-    name="$(basename "$b")"
-    echo "### $name"
-    if [ "$name" = bench_micro_components ]; then
-      # google-benchmark >= 1.8 wants a unit suffix; older versions reject it.
-      "$b" --benchmark_min_time=0.05s 2>/dev/null ||
-        "$b" --benchmark_min_time=0.05
-    elif [ "$name" = bench_micro_event_queue ]; then
-      "$b" --events=5000000
-    elif [ "$name" = bench_micro_vault_wake ]; then
-      "$b"
-    else
-      "$b" --quiet "$@"
-    fi
-    echo
-  done
+  echo "### camps_bench all"
+  build/bench/camps_bench all --quiet "$@"
+  echo
+  echo "### bench_micro_components"
+  # google-benchmark >= 1.8 wants a unit suffix; older versions reject it.
+  build/bench/bench_micro_components --benchmark_min_time=0.05s 2>/dev/null ||
+    build/bench/bench_micro_components --benchmark_min_time=0.05
+  echo
+  echo "### bench_micro_event_queue"
+  build/bench/bench_micro_event_queue --events=5000000
 } 2>&1 | tee "$out"

@@ -79,8 +79,12 @@ SimFn Runner::make_sim(const Job& job) const {
       return sys.run();
     };
   }
-  const system::SystemConfig sys_cfg = cfg_.system_config(job.scheme);
-  const std::string workload = job.workload;
+  return make_sim(Sim{cfg_.system_config(job.scheme), job.workload});
+}
+
+SimFn Runner::make_sim(const Sim& sim) const {
+  const system::SystemConfig sys_cfg = sim.config;
+  const std::string workload = sim.workload;
   const bool verbose = cfg_.verbose;
   return [sys_cfg, workload, verbose] {
     if (verbose) {
@@ -94,6 +98,30 @@ SimFn Runner::make_sim(const Job& job) const {
     }
     return results;
   };
+}
+
+std::vector<system::RunResults> Runner::execute(std::vector<SimFn> sims) {
+  if (sims.empty()) return {};
+  const auto sweep_start = std::chrono::steady_clock::now();
+  const size_t count = sims.size();
+  auto results = run_parallel(std::move(sims), cfg_.jobs);
+  for (const auto& r : results) {
+    timing_.runs += 1;
+    timing_.events += r.events_executed;
+    timing_.run_seconds += r.wall_seconds;
+  }
+  timing_.sweep_seconds += seconds_since(sweep_start);
+
+  if (cfg_.verbose) {
+    const u32 jobs_used =
+        cfg_.jobs == 0 ? ThreadPool::default_threads() : cfg_.jobs;
+    progress_line(
+        "[sweep] %llu runs: %.1fs wall at jobs=%u (%.1fs of simulation, "
+        "%.2f Mevents/s per worker)",
+        static_cast<unsigned long long>(count), seconds_since(sweep_start),
+        jobs_used, timing_.run_seconds, timing_.events_per_second() / 1e6);
+  }
+  return results;
 }
 
 void Runner::run_all(const std::vector<Job>& jobs) {
@@ -114,38 +142,20 @@ void Runner::run_all(const std::vector<Job>& jobs) {
     }
     if (!seen) todo.push_back(job);
   }
-  if (todo.empty()) return;
-
-  const auto sweep_start = std::chrono::steady_clock::now();
   std::vector<SimFn> sims;
   sims.reserve(todo.size());
   for (const auto& job : todo) sims.push_back(make_sim(job));
-  auto results = run_parallel(std::move(sims), cfg_.jobs);
+  auto results = execute(std::move(sims));
 
   // Merge on the calling thread: by here every worker is done, so the
   // cache never sees concurrent writers and a key is inserted exactly once.
-  for (size_t i = 0; i < todo.size(); ++i) {
-    timing_.runs += 1;
-    timing_.events += results[i].events_executed;
-    timing_.run_seconds += results[i].wall_seconds;
+  for (size_t i = 0; i < results.size(); ++i) {
     const auto key = std::make_pair(todo[i].workload, todo[i].scheme);
     if (todo[i].solo) {
       solo_cache_.emplace(key, results[i].cores[0].ipc);
     } else {
       cache_.emplace(key, std::move(results[i]));
     }
-  }
-  timing_.sweep_seconds += seconds_since(sweep_start);
-
-  if (cfg_.verbose) {
-    const u32 jobs_used =
-        cfg_.jobs == 0 ? ThreadPool::default_threads() : cfg_.jobs;
-    progress_line(
-        "[sweep] %llu runs: %.1fs wall at jobs=%u (%.1fs of simulation, "
-        "%.2f Mevents/s per worker)",
-        static_cast<unsigned long long>(todo.size()),
-        seconds_since(sweep_start), jobs_used,
-        timing_.run_seconds, timing_.events_per_second() / 1e6);
   }
 }
 
@@ -157,6 +167,14 @@ void Runner::run_all(const std::vector<std::string>& workloads,
     for (auto scheme : schemes) jobs.push_back(Job{w, scheme, false});
   }
   run_all(jobs);
+}
+
+std::vector<system::RunResults> Runner::run_sims(
+    const std::vector<Sim>& sims) {
+  std::vector<SimFn> fns;
+  fns.reserve(sims.size());
+  for (const auto& sim : sims) fns.push_back(make_sim(sim));
+  return execute(std::move(fns));
 }
 
 const system::RunResults& Runner::result(const std::string& workload,

@@ -92,6 +92,17 @@ class Runner {
   void run_all(const std::vector<std::string>& workloads,
                const std::vector<prefetch::SchemeKind>& schemes);
 
+  /// A run the cache cannot key on: a hand-built SystemConfig (ablation
+  /// knob, fault campaign, cube generation) for one Table II workload.
+  struct Sim {
+    system::SystemConfig config;
+    std::string workload;
+  };
+
+  /// Runs `sims` uncached, in parallel like run_all(), and returns their
+  /// results in input order.
+  std::vector<system::RunResults> run_sims(const std::vector<Sim>& sims);
+
   /// Runs (or returns the cached) simulation of `workload` under `scheme`.
   const system::RunResults& result(const std::string& workload,
                                    prefetch::SchemeKind scheme);
@@ -140,6 +151,10 @@ class Runner {
  private:
   /// Builds the simulation closure for one uncached job.
   SimFn make_sim(const Job& job) const;
+  SimFn make_sim(const Sim& sim) const;
+
+  /// Runs `sims` on config().jobs workers and accounts their host cost.
+  std::vector<system::RunResults> execute(std::vector<SimFn> sims);
 
   ExperimentConfig cfg_;
   SweepTiming timing_;

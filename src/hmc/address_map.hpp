@@ -5,7 +5,7 @@
 // 16 banks/vault, 1 KB rows), consecutive lines fill a row, consecutive
 // rows stripe across vaults, then banks — giving both row locality and
 // vault-level parallelism. The field order is configurable so the
-// bench_ablate_addrmap experiment can study alternatives.
+// camps_bench ablate_addrmap preset can study alternatives.
 #pragma once
 
 #include <array>

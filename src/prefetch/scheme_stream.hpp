@@ -8,7 +8,7 @@
 // `degree` rows in stream order are prefetched (open-page policy, LRU
 // buffer). It shines on strided/streaming row traffic and does nothing for
 // conflict-dominated access patterns — exactly the gap CAMPS targets; the
-// bench_ext_stream binary quantifies that contrast.
+// camps_bench ext_stream preset quantifies that contrast.
 #pragma once
 
 #include <string>

@@ -200,6 +200,25 @@ TEST(Runner, RunAllPopulatesTimingAndCache) {
   EXPECT_EQ(runner.timing().runs, 1u);
 }
 
+TEST(Runner, RunSimsKeepsInputOrderAndMatchesCachedRuns) {
+  // Config-keyed runs take the same path as cached ones: the default
+  // config reproduces the cached run bit for bit, a knob changes it, and
+  // the results come back in input order without touching the cache.
+  Runner runner(tiny());
+  const ExperimentConfig cfg = tiny();
+  auto knob = cfg.system_config(prefetch::SchemeKind::kCampsMod);
+  knob.scheme_params.camps.conflict_entries = 4;
+  const auto results = runner.run_sims(
+      {{knob, "HM1"},
+       {cfg.system_config(prefetch::SchemeKind::kCampsMod), "HM1"}});
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(runner.timing().runs, 2u);
+  EXPECT_TRUE(runner.results().empty());
+  const auto& cached = runner.result("HM1", prefetch::SchemeKind::kCampsMod);
+  EXPECT_EQ(results[1].to_json(0), cached.to_json(0));
+  EXPECT_NE(results[0].to_json(0), cached.to_json(0));
+}
+
 TEST(RunParallel, PreservesJobOrder) {
   std::vector<SimFn> sims;
   for (int i = 0; i < 8; ++i) {

@@ -1,5 +1,6 @@
 #include "system/config.hpp"
 
+#include <filesystem>
 #include <gtest/gtest.h>
 #include <string>
 
@@ -138,6 +139,22 @@ TEST(SystemConfig, FaultsDisabledByDefault) {
   const SystemConfig out =
       apply_overrides(table1_config(), ConfigFile::parse(""));
   EXPECT_FALSE(out.hmc.fault.enabled());
+}
+
+TEST(SystemConfig, ShippedConfigsLoad) {
+  // Every file in configs/ must load as documented (`camps_sim
+  // --config=FILE`): a key placed under the wrong [section] header fails
+  // the unknown-key check.
+  int loaded = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(CAMPS_CONFIG_DIR)) {
+    if (entry.path().extension() != ".ini") continue;
+    SCOPED_TRACE(entry.path().string());
+    EXPECT_NO_THROW(apply_overrides(table1_config(),
+                                    ConfigFile::load(entry.path().string())));
+    ++loaded;
+  }
+  EXPECT_GT(loaded, 0);
 }
 
 }  // namespace

@@ -35,10 +35,10 @@
 //     --fault-degrade-threshold=N  vault faults per degradation flush
 //     --fault-tokens=N           link flow-control credits (flits; 0 = off)
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/json.hpp"
 #include "common/log.hpp"
 #include "obs/chrome_trace.hpp"
@@ -86,106 +86,90 @@ int main(int argc, char** argv) {
   fault::FaultConfig fault_cfg;
   bool have_fault = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](const char* prefix) -> const char* {
-      return arg.c_str() + std::strlen(prefix);
-    };
-    if (arg.rfind("--workload=", 0) == 0) {
-      workload = value("--workload=");
-    } else if (arg.rfind("--scheme=", 0) == 0) {
-      scheme_override = value("--scheme=");
-    } else if (arg.rfind("--config=", 0) == 0) {
-      config_path = value("--config=");
-    } else if (arg.rfind("--warmup=", 0) == 0) {
-      warmup = std::strtoull(value("--warmup="), nullptr, 10);
-      have_warmup = true;
-    } else if (arg.rfind("--measure=", 0) == 0) {
-      measure = std::strtoull(value("--measure="), nullptr, 10);
-      have_measure = true;
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      seed = std::strtoull(value("--seed="), nullptr, 10);
-      have_seed = true;
-    } else if (arg == "--audit") {
-      audit_every = 100'000;
-      have_audit = true;
-    } else if (arg.rfind("--audit-every=", 0) == 0) {
-      audit_every = std::strtoull(value("--audit-every="), nullptr, 10);
-      have_audit = true;
-    } else if (arg == "--stats") {
-      dump_stats = true;
-    } else if (arg == "--energy") {
-      dump_energy = true;
-    } else if (arg.rfind("--stats-json=", 0) == 0) {
-      stats_json_path = value("--stats-json=");
-    } else if (arg.rfind("--trace-out=", 0) == 0) {
-      trace_out_path = value("--trace-out=");
-    } else if (arg.rfind("--trace-cap=", 0) == 0) {
-      trace_cap = std::strtoull(value("--trace-cap="), nullptr, 10);
-    } else if (arg.rfind("--epoch-ticks=", 0) == 0) {
-      epoch_ticks = std::strtoull(value("--epoch-ticks="), nullptr, 10);
-    } else if (arg.rfind("--epoch-csv=", 0) == 0) {
-      epoch_csv_path = value("--epoch-csv=");
-    } else if (arg.rfind("--epoch-json=", 0) == 0) {
-      epoch_json_path = value("--epoch-json=");
-    } else if (arg.rfind("--fault-rate=", 0) == 0) {
-      fault_cfg.link_crc_rate = std::strtod(value("--fault-rate="), nullptr);
-      have_fault = true;
-    } else if (arg.rfind("--fault-link-drop=", 0) == 0) {
-      fault_cfg.link_drop_rate =
-          std::strtod(value("--fault-link-drop="), nullptr);
-      have_fault = true;
-    } else if (arg.rfind("--fault-xbar-drop=", 0) == 0) {
-      fault_cfg.xbar_drop_rate =
-          std::strtod(value("--fault-xbar-drop="), nullptr);
-      have_fault = true;
-    } else if (arg.rfind("--fault-vault-stall=", 0) == 0) {
-      fault_cfg.vault_stall_rate =
-          std::strtod(value("--fault-vault-stall="), nullptr);
-      have_fault = true;
-    } else if (arg.rfind("--fault-seed=", 0) == 0) {
-      fault_cfg.seed = std::strtoull(value("--fault-seed="), nullptr, 10);
-      have_fault = true;
-    } else if (arg.rfind("--fault-retry-budget=", 0) == 0) {
-      fault_cfg.host_retry_budget = static_cast<u32>(
-          std::strtoul(value("--fault-retry-budget="), nullptr, 10));
-      have_fault = true;
-    } else if (arg.rfind("--fault-degrade-threshold=", 0) == 0) {
-      fault_cfg.vault_degrade_threshold = static_cast<u32>(
-          std::strtoul(value("--fault-degrade-threshold="), nullptr, 10));
-      have_fault = true;
-    } else if (arg.rfind("--fault-tokens=", 0) == 0) {
-      fault_cfg.link_tokens = static_cast<u32>(
-          std::strtoul(value("--fault-tokens="), nullptr, 10));
-      have_fault = true;
-    } else if (arg.rfind("--log-level=", 0) == 0) {
-      const std::string level = value("--log-level=");
-      if (level == "trace") {
-        set_log_level(LogLevel::kTrace);
-      } else if (level == "debug") {
-        set_log_level(LogLevel::kDebug);
-      } else if (level == "info") {
-        set_log_level(LogLevel::kInfo);
-      } else if (level == "warn") {
-        set_log_level(LogLevel::kWarn);
-      } else if (level == "error") {
-        set_log_level(LogLevel::kError);
-      } else {
-        std::fprintf(stderr,
-                     "--log-level expects trace|debug|info|warn|error, "
-                     "got \"%s\"\n",
-                     level.c_str());
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      std::string v;
+      auto num = [&](const char* flag, u64 max = ~u64{0}) {
+        return cli::parse_u64(flag, v, max);
+      };
+      // The fault-flag parsers also mark the fault block as overridden.
+      auto rate = [&](const char* flag) {
+        have_fault = true;
+        return cli::parse_double(flag, v);
+      };
+      auto count32 = [&](const char* flag) {
+        have_fault = true;
+        return static_cast<u32>(num(flag, ~u32{0}));
+      };
+      if (cli::flag_value(arg, "--workload", &v)) {
+        workload = v;
+      } else if (cli::flag_value(arg, "--scheme", &v)) {
+        scheme_override = v;
+      } else if (cli::flag_value(arg, "--config", &v)) {
+        config_path = v;
+      } else if (cli::flag_value(arg, "--warmup", &v)) {
+        warmup = num("--warmup");
+        have_warmup = true;
+      } else if (cli::flag_value(arg, "--measure", &v)) {
+        measure = num("--measure");
+        have_measure = true;
+      } else if (cli::flag_value(arg, "--seed", &v)) {
+        seed = num("--seed");
+        have_seed = true;
+      } else if (arg == "--audit") {
+        audit_every = 100'000;
+        have_audit = true;
+      } else if (cli::flag_value(arg, "--audit-every", &v)) {
+        audit_every = num("--audit-every");
+        have_audit = true;
+      } else if (arg == "--stats") {
+        dump_stats = true;
+      } else if (arg == "--energy") {
+        dump_energy = true;
+      } else if (cli::flag_value(arg, "--stats-json", &v)) {
+        stats_json_path = v;
+      } else if (cli::flag_value(arg, "--trace-out", &v)) {
+        trace_out_path = v;
+      } else if (cli::flag_value(arg, "--trace-cap", &v)) {
+        trace_cap = num("--trace-cap", ~u32{0});
+      } else if (cli::flag_value(arg, "--epoch-ticks", &v)) {
+        epoch_ticks = num("--epoch-ticks");
+      } else if (cli::flag_value(arg, "--epoch-csv", &v)) {
+        epoch_csv_path = v;
+      } else if (cli::flag_value(arg, "--epoch-json", &v)) {
+        epoch_json_path = v;
+      } else if (cli::flag_value(arg, "--fault-rate", &v)) {
+        fault_cfg.link_crc_rate = rate("--fault-rate");
+      } else if (cli::flag_value(arg, "--fault-link-drop", &v)) {
+        fault_cfg.link_drop_rate = rate("--fault-link-drop");
+      } else if (cli::flag_value(arg, "--fault-xbar-drop", &v)) {
+        fault_cfg.xbar_drop_rate = rate("--fault-xbar-drop");
+      } else if (cli::flag_value(arg, "--fault-vault-stall", &v)) {
+        fault_cfg.vault_stall_rate = rate("--fault-vault-stall");
+      } else if (cli::flag_value(arg, "--fault-seed", &v)) {
+        fault_cfg.seed = num("--fault-seed");
+        have_fault = true;
+      } else if (cli::flag_value(arg, "--fault-retry-budget", &v)) {
+        fault_cfg.host_retry_budget = count32("--fault-retry-budget");
+      } else if (cli::flag_value(arg, "--fault-degrade-threshold", &v)) {
+        fault_cfg.vault_degrade_threshold =
+            count32("--fault-degrade-threshold");
+      } else if (cli::flag_value(arg, "--fault-tokens", &v)) {
+        fault_cfg.link_tokens = count32("--fault-tokens");
+      } else if (cli::flag_value(arg, "--log-level", &v)) {
+        set_log_level(cli::parse_log_level("--log-level", v));
+      } else if (arg == "--help" || arg == "-h") {
         usage(argv[0]);
-        return 2;
+        return 0;
+      } else {
+        throw cli::UsageError("unknown argument: " + arg);
       }
-    } else if (arg == "--help" || arg == "-h") {
-      usage(argv[0]);
-      return 0;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-      usage(argv[0]);
-      return 2;
     }
+  } catch (const cli::UsageError& e) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+    usage(argv[0]);
+    return 2;
   }
 
   try {
@@ -200,9 +184,9 @@ int main(int argc, char** argv) {
     if (have_measure) cfg.core.measure_instructions = measure;
     if (have_seed) cfg.seed = seed;
     if (have_audit) cfg.audit_every = audit_every;
-    // Fault flags override the config file field-by-field: an explicit
-    // --fault-* flag replaces the whole fault block with the flag-built one
-    // seeded from defaults, matching how the other flags win.
+    // Any --fault-* flag replaces the config file's whole fault block with
+    // one built from the defaults plus the fault flags given; fault fields
+    // the flags leave unset do not keep the file's values.
     if (have_fault) cfg.hmc.fault = fault_cfg;
     cfg.obs.trace_enabled = !trace_out_path.empty();
     if (trace_cap > 0) cfg.obs.trace_capacity = static_cast<u32>(trace_cap);
