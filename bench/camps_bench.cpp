@@ -921,6 +921,20 @@ void write_trace(const std::string& path, const NamedResults& runs) {
                trace_runs.size());
 }
 
+/// SystemConfig::validate() over every config `p` would run: its cached
+/// jobs' Table I configs and its hand-built sims.
+std::vector<std::string> config_errors(const exp::ExperimentConfig& cfg,
+                                       const Preset& p) {
+  const Plan plan = p.plan(cfg);
+  std::vector<std::string> errors;
+  auto add = [&](const SystemConfig& c) {
+    for (auto& e : c.validate()) errors.push_back(std::move(e));
+  };
+  for (const auto& job : plan.jobs) add(cfg.system_config(job.scheme));
+  for (const auto& sim : plan.sims) add(sim.config);
+  return errors;
+}
+
 void run_preset(const Options& opt, const Preset& p, exp::Runner& runner) {
   const exp::ExperimentConfig& cfg = opt.cfg;
   std::printf("=== %s ===\n", p.title.c_str());
@@ -969,6 +983,17 @@ int main(int argc, char** argv) {
   } catch (const camps::cli::UsageError& e) {
     std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
     print_usage(argv[0]);
+    return 2;
+  }
+  // Every config a preset would build must pass validation before any
+  // simulation starts; a bad one fails like a bad flag, naming its key.
+  for (const Preset* p : opt.presets) {
+    const std::vector<std::string> errors = config_errors(opt.cfg, *p);
+    if (errors.empty()) continue;
+    for (const auto& e : errors) {
+      std::fprintf(stderr, "%s: %s: %s\n", argv[0], p->name.c_str(),
+                   e.c_str());
+    }
     return 2;
   }
   try {

@@ -1,10 +1,13 @@
 // Working with traces: generate a synthetic SPEC-like trace, inspect its
-// statistics, persist it to the binary .ctrc format, reload it, and run the
-// reloaded trace through the full system on all eight cores.
+// statistics, persist it to the binary .ctrc format (varint line deltas, a
+// few bytes per record), reload it, and run the reloaded trace through the
+// full system on all eight cores.
 //
 // Usage: trace_tools [benchmark] [records] [output.ctrc]
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -46,7 +49,11 @@ int main(int argc, char** argv) {
 
   // 3. Persist and reload.
   trace::write_trace_file(path, trace_records);
-  std::printf("  written to       : %s\n", path.c_str());
+  const double bytes_per_record =
+      static_cast<double>(std::filesystem::file_size(path)) /
+      static_cast<double>(std::max<size_t>(trace_records.size(), 1));
+  std::printf("  written to       : %s (%.1f bytes/record)\n", path.c_str(),
+              bytes_per_record);
   trace::TraceFileSource reloaded(path);
   std::printf("  reloaded records : %llu\n",
               static_cast<unsigned long long>(reloaded.record_count()));

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Runs every figure/table/ablation/extension preset in one camps_bench
-# invocation, then the micro-benchmarks, and tees the combined output.
+# invocation, then the component micro-benchmarks, and tees the combined
+# output.
 # Usage: scripts/run_all_benches.sh [outfile] [extra camps_bench args...]
 # e.g. scripts/run_all_benches.sh bench_output.txt --quick --jobs=4
 #
@@ -23,7 +24,4 @@ shift || true
   # google-benchmark >= 1.8 wants a unit suffix; older versions reject it.
   build/bench/bench_micro_components --benchmark_min_time=0.05s 2>/dev/null ||
     build/bench/bench_micro_components --benchmark_min_time=0.05
-  echo
-  echo "### bench_micro_event_queue"
-  build/bench/bench_micro_event_queue --events=5000000
 } 2>&1 | tee "$out"

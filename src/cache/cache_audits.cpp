@@ -23,11 +23,6 @@ void cache::MshrFile::audit(check::AuditReporter& rep) const {
     rep.expect(!waiters.empty(), "mshr-orphan",
                "line " + std::to_string(line) +
                    " is outstanding with no registered waiter");
-    for (const WakeFn& w : waiters) {
-      rep.expect(static_cast<bool>(w), "mshr-dead-waiter",
-                 "line " + std::to_string(line) +
-                     " holds an empty wake callback");
-    }
   }
   rep.expect(pending_.size() <= allocations_, "mshr-crossfoot",
              "more lines outstanding than fetches ever launched");
@@ -37,11 +32,7 @@ void cache::CacheHierarchy::audit(check::AuditReporter& rep) const {
   const check::AuditScope scope(rep, "cache");
   mshrs_.audit(rep);
   // Deferred retries only exist while the MSHR file is bounded and full
-  // misses were turned away; each must be a live callable.
-  for (const auto& retry : mshr_retry_) {
-    rep.expect(static_cast<bool>(retry), "cache-dead-retry",
-               "deferred MSHR retry holds an empty callback");
-  }
+  // misses were turned away.
   if (cfg_.mshr_entries == 0) {
     rep.expect(mshr_retry_.empty(), "cache-retry-unbounded",
                "retries deferred although the MSHR file is unlimited");

@@ -1,7 +1,7 @@
 #include "cache/hierarchy.hpp"
 
-#include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -10,12 +10,13 @@ namespace camps::cache {
 
 CacheHierarchy::CacheHierarchy(sim::Simulator& sim,
                                const HierarchyConfig& config, u32 cores,
-                               MemoryPort* memory)
+                               MemoryPort* memory, LoadDoneFn on_load_done)
     : sim_(sim),
       cfg_(config),
       l3_(config.l3),
       mshrs_(config.mshr_entries),
-      memory_(memory) {
+      memory_(memory),
+      on_load_done_(std::move(on_load_done)) {
   CAMPS_ASSERT(cores > 0);
   CAMPS_ASSERT(memory_ != nullptr);
   CAMPS_ASSERT(config.l1.line_bytes == config.l3.line_bytes &&
@@ -75,13 +76,13 @@ u32 CacheHierarchy::lookup_path(CoreId core, Addr addr, AccessType type,
   return 0;
 }
 
-void CacheHierarchy::complete_load(Tick issued, DoneFn done) {
+void CacheHierarchy::complete_load(CoreId core, Tick issued) {
   ++loads_completed_;
   load_latency_cycles_ += (sim_.now() - issued) / sim::kCpuTicksPerCycle;
-  if (done) done();
+  if (on_load_done_) on_load_done_(core);
 }
 
-void CacheHierarchy::read(CoreId core, Addr addr, DoneFn done) {
+void CacheHierarchy::read(CoreId core, Addr addr) {
   const Addr line = align(addr, cfg_.l3.line_bytes);
   const Tick issued = sim_.now();
   u32 cycles = 0;
@@ -90,53 +91,51 @@ void CacheHierarchy::read(CoreId core, Addr addr, DoneFn done) {
     if (level >= 3) fill_level(*l2_[core], line, false, core, false);
     if (level >= 2) fill_level(*l1_[core], line, false, core, false);
     sim_.schedule(Tick{cycles} * sim::kCpuTicksPerCycle,
-                  [this, issued, done = std::move(done)]() mutable {
-                    complete_load(issued, std::move(done));
-                  });
+                  [this, core, issued] { complete_load(core, issued); });
     return;
   }
 
   // L3 miss: register with the MSHRs; the first miss launches the fetch
   // after the full lookup latency has elapsed.
-  auto waiter = [this, core, line, issued, done = std::move(done)]() mutable {
-    fill_level(*l2_[core], line, false, core, false);
-    fill_level(*l1_[core], line, false, core, false);
-    complete_load(issued, std::move(done));
-  };
-  allocate_or_defer(line, core, cycles, std::move(waiter));
+  allocate_or_defer(line, cycles,
+                    {.core = core, .store = false, .issued = issued});
 }
 
-void CacheHierarchy::allocate_or_defer(Addr line, CoreId core,
-                                       u32 lookup_cycles,
-                                       MshrFile::WakeFn waiter) {
+void CacheHierarchy::allocate_or_defer(Addr line, u32 lookup_cycles,
+                                       const MshrFile::Waiter& waiter) {
   const auto result = mshrs_.allocate(line, waiter);
   if (result == MshrFile::Allocate::kFull) {
     // Structural stall: re-attempt when an outstanding fetch completes.
-    mshr_retry_.push_back([this, line, core, lookup_cycles,
-                           waiter = std::move(waiter)]() mutable {
-      allocate_or_defer(line, core, lookup_cycles, std::move(waiter));
-    });
+    mshr_retry_.push_back({line, lookup_cycles, waiter});
     return;
   }
   if (result == MshrFile::Allocate::kMustFetch) {
     sim_.schedule(Tick{lookup_cycles} * sim::kCpuTicksPerCycle,
-                  [this, core, line] {
+                  [this, core = waiter.core, line] {
                     ++memory_reads_;
-                    memory_->mem_read(line, core,
-                                      [this, line] { fill_from_memory(0, line); });
+                    memory_->mem_read(line, core);
                   });
   }
 }
 
-void CacheHierarchy::fill_from_memory(CoreId /*requesting*/, Addr line) {
+void CacheHierarchy::wake(Addr line, const MshrFile::Waiter& waiter) {
+  fill_level(*l2_[waiter.core], line, false, waiter.core, false);
+  fill_level(*l1_[waiter.core], line, /*dirty=*/waiter.store, waiter.core,
+             false);
+  if (!waiter.store) complete_load(waiter.core, waiter.issued);
+}
+
+void CacheHierarchy::fill_from_memory(Addr line) {
   fill_level(l3_, line, false, /*core=*/0, /*is_l3=*/true);
-  for (auto& wake : mshrs_.complete(line)) wake();
+  for (const auto& waiter : mshrs_.complete(line)) wake(line, waiter);
   // A slot just freed: give deferred miss attempts another chance (they
   // re-defer themselves if the file fills up again).
   if (!mshr_retry_.empty()) {
-    std::vector<std::function<void()>> retries;
+    std::vector<DeferredMiss> retries;
     retries.swap(mshr_retry_);
-    for (auto& retry : retries) retry();
+    for (const auto& miss : retries) {
+      allocate_or_defer(miss.line, miss.lookup_cycles, miss.waiter);
+    }
   }
 }
 
@@ -151,12 +150,8 @@ void CacheHierarchy::write(CoreId core, Addr addr) {
     return;
   }
   // Write-allocate: fetch the line; the store itself has already retired
-  // (store buffer), so no completion callback — the line lands dirty in L1.
-  auto waiter = [this, core, line] {
-    fill_level(*l2_[core], line, false, core, false);
-    fill_level(*l1_[core], line, /*dirty=*/true, core, false);
-  };
-  allocate_or_defer(line, core, cycles, std::move(waiter));
+  // (store buffer), so nothing waits on it — the line lands dirty in L1.
+  allocate_or_defer(line, cycles, {.core = core, .store = true});
 }
 
 }  // namespace camps::cache

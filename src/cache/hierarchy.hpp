@@ -9,6 +9,11 @@
 // Write-back/write-allocate: stores that miss fetch the line like a load
 // (but complete the store immediately — store buffers hide the latency),
 // dirty victims cascade down and dirty L3 victims become memory writes.
+//
+// Completions travel by key: the memory side answers a fetch by calling
+// fill_from_memory(line), the MSHR entry for that line names its waiting
+// cores, and every finished load leaves through the one on_load_done(core)
+// hook given at construction.
 #pragma once
 
 #include <functional>
@@ -23,12 +28,12 @@
 namespace camps::cache {
 
 /// The hierarchy's view of main memory (implemented by the HMC host
-/// controller via a thin adapter in the system layer).
+/// controller via a thin adapter in the system layer). A read is answered
+/// by calling CacheHierarchy::fill_from_memory(line_addr).
 class MemoryPort {
  public:
   virtual ~MemoryPort() = default;
-  virtual void mem_read(Addr line_addr, CoreId core,
-                        std::function<void()> done) = 0;
+  virtual void mem_read(Addr line_addr, CoreId core) = 0;
   virtual void mem_write(Addr line_addr, CoreId core) = 0;
 };
 
@@ -47,17 +52,23 @@ struct HierarchyConfig {
 
 class CacheHierarchy final {
  public:
-  using DoneFn = std::function<void()>;
+  /// Fired once per completed load with the core that issued it.
+  using LoadDoneFn = std::function<void(CoreId)>;
 
   CacheHierarchy(sim::Simulator& sim, const HierarchyConfig& config,
-                 u32 cores, MemoryPort* memory);
+                 u32 cores, MemoryPort* memory, LoadDoneFn on_load_done);
 
-  /// Performs a load; `done` fires when the data reaches the core.
-  void read(CoreId core, Addr addr, DoneFn done);
+  /// Performs a load; on_load_done(core) fires when the data reaches the
+  /// core.
+  void read(CoreId core, Addr addr);
 
   /// Performs a store (write-allocate; completes immediately for the core,
   /// the line fetch proceeds in the background on a miss).
   void write(CoreId core, Addr addr);
+
+  /// The memory side's answer to mem_read(line): fills the L3 and serves
+  /// every miss waiting on the line.
+  void fill_from_memory(Addr line);
 
   // --- inspection -------------------------------------------------------
   const Cache& l1(CoreId core) const { return *l1_[core]; }
@@ -82,14 +93,23 @@ class CacheHierarchy final {
   /// Walks the hierarchy for one line; returns the level that hit
   /// (1/2/3) or 0 for memory, and accumulates lookup latency in `cycles`.
   u32 lookup_path(CoreId core, Addr addr, AccessType type, u32& cycles);
-  void fill_from_memory(CoreId core, Addr addr);
   /// Registers `waiter` for `line`; launches the memory fetch if this is
   /// the first miss, or defers the whole attempt if the MSHR file is full.
-  void allocate_or_defer(Addr line, CoreId core, u32 lookup_cycles,
-                         MshrFile::WakeFn waiter);
+  void allocate_or_defer(Addr line, u32 lookup_cycles,
+                         const MshrFile::Waiter& waiter);
+  /// Brings a returned line into the waiter's private levels and, for a
+  /// load, completes it.
+  void wake(Addr line, const MshrFile::Waiter& waiter);
   void fill_level(Cache& cache, Addr addr, bool dirty, CoreId core,
                   bool is_l3);
-  void complete_load(Tick issued, DoneFn done);
+  void complete_load(CoreId core, Tick issued);
+
+  /// A miss attempt turned away by a full MSHR file.
+  struct DeferredMiss {
+    Addr line;
+    u32 lookup_cycles;
+    MshrFile::Waiter waiter;
+  };
 
   sim::Simulator& sim_;
   HierarchyConfig cfg_;
@@ -98,8 +118,9 @@ class CacheHierarchy final {
   Cache l3_;
   MshrFile mshrs_;
   MemoryPort* memory_;
+  LoadDoneFn on_load_done_;
   /// Miss attempts rejected by a full MSHR file, retried on completions.
-  std::vector<std::function<void()>> mshr_retry_;
+  std::vector<DeferredMiss> mshr_retry_;
 
   u64 memory_reads_ = 0, memory_writes_ = 0;
   u64 load_latency_cycles_ = 0, loads_completed_ = 0;

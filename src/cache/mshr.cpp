@@ -1,6 +1,5 @@
 #include "cache/mshr.hpp"
 
-#include <string>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -11,10 +10,10 @@ bool MshrFile::pending(Addr line_addr) const {
   return pending_.count(line_addr) != 0;
 }
 
-MshrFile::Allocate MshrFile::allocate(Addr line_addr, WakeFn waiter) {
+MshrFile::Allocate MshrFile::allocate(Addr line_addr, const Waiter& waiter) {
   auto it = pending_.find(line_addr);
   if (it != pending_.end()) {
-    it->second.push_back(std::move(waiter));
+    it->second.push_back(waiter);
     ++merges_;
     return Allocate::kMerged;
   }
@@ -22,15 +21,15 @@ MshrFile::Allocate MshrFile::allocate(Addr line_addr, WakeFn waiter) {
     ++full_rejections_;
     return Allocate::kFull;
   }
-  pending_[line_addr].push_back(std::move(waiter));
+  pending_[line_addr].push_back(waiter);
   ++allocations_;
   return Allocate::kMustFetch;
 }
 
-std::vector<MshrFile::WakeFn> MshrFile::complete(Addr line_addr) {
+std::vector<MshrFile::Waiter> MshrFile::complete(Addr line_addr) {
   auto it = pending_.find(line_addr);
   CAMPS_ASSERT_MSG(it != pending_.end(), "completion for unknown MSHR line");
-  std::vector<WakeFn> waiters = std::move(it->second);
+  std::vector<Waiter> waiters = std::move(it->second);
   pending_.erase(it);
   return waiters;
 }

@@ -2,11 +2,10 @@
 //
 // Merges concurrent misses to the same line into one memory request: the
 // first miss allocates an entry and triggers the fetch; later misses attach
-// their callbacks. When the line returns, every waiter fires in arrival
-// order.
+// a waiter record. When the line returns, the owner serves every waiter in
+// arrival order.
 #pragma once
 
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -17,7 +16,14 @@ namespace camps::cache {
 
 class MshrFile final {
  public:
-  using WakeFn = std::function<void()>;
+  /// One miss parked on an outstanding line: which core asked, whether it
+  /// was a store (the line lands dirty, nobody waits for it), and when a
+  /// load issued (for its latency).
+  struct Waiter {
+    CoreId core = 0;
+    bool store = false;
+    Tick issued = 0;
+  };
 
   /// Unlimited entries by default (the cores' outstanding-miss windows
   /// bound demand in practice); pass a cap to model a finite file.
@@ -30,10 +36,10 @@ class MshrFile final {
   enum class Allocate : u8 { kMustFetch, kMerged, kFull };
 
   /// Registers a waiter for `line_addr`.
-  Allocate allocate(Addr line_addr, WakeFn waiter);
+  Allocate allocate(Addr line_addr, const Waiter& waiter);
 
   /// Completes a fetch: removes the entry and returns its waiters.
-  std::vector<WakeFn> complete(Addr line_addr);
+  std::vector<Waiter> complete(Addr line_addr);
 
   u32 entries_in_use() const { return static_cast<u32>(pending_.size()); }
   u64 merges() const { return merges_; }
@@ -41,7 +47,7 @@ class MshrFile final {
   u64 full_rejections() const { return full_rejections_; }
 
   /// Invariants: the file respects its capacity, every outstanding entry
-  /// has at least one live waiter (the allocating miss registers one), and
+  /// has at least one waiter (the allocating miss registers one), and
   /// merges never outnumber the accesses that could have merged.
   void audit(check::AuditReporter& reporter) const;
 
@@ -49,7 +55,7 @@ class MshrFile final {
   friend struct check::TestCorruptor;
 
   u32 max_entries_;
-  std::unordered_map<Addr, std::vector<WakeFn>> pending_;
+  std::unordered_map<Addr, std::vector<Waiter>> pending_;
   u64 merges_ = 0, allocations_ = 0, full_rejections_ = 0;
 };
 

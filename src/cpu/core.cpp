@@ -64,7 +64,7 @@ void Core::step() {
     if (current_->type == AccessType::kRead) {
       ++outstanding_;
       ++loads_;
-      caches_->read(id_, current_->addr, [this] { on_load_done(); });
+      caches_->read(id_, current_->addr);
     } else {
       ++stores_;
       caches_->write(id_, current_->addr);

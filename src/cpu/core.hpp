@@ -60,10 +60,13 @@ class Core {
   /// CPU cycles the core spent stalled on a full load window.
   u64 stall_cycles() const { return stall_ticks_ / sim::kCpuTicksPerCycle; }
 
+  /// One of this core's loads completed (the hierarchy's on_load_done hook
+  /// routes here by core id); frees a window slot.
+  void on_load_done();
+
  private:
   void step();
   void schedule_step(Tick when);
-  void on_load_done();
   void check_phases();
   void halt();
 

@@ -21,15 +21,11 @@ void hmc::HostController::audit(check::AuditReporter& rep) const {
   {
     const check::AuditScope scope(rep, "host");
     const u32 retry_budget = device_.config().fault.host_retry_budget;
-    size_t timers_referenced = 0;
     for (const auto& [id, p] : outstanding_) {
       rep.expect(id != 0 && id < next_id_, "host-id-range",
                  "outstanding request id " + std::to_string(id) +
                      " was never issued (next id is " +
                      std::to_string(next_id_) + ")");
-      rep.expect(static_cast<bool>(p.on_done), "host-dead-callback",
-                 "outstanding read " + std::to_string(id) +
-                     " has no completion callback");
       // attempt can reach budget+1 (the last retry); beyond that the
       // timeout path must have poisoned the request already.
       rep.expect(p.attempt >= 1 && p.attempt <= retry_budget + 1,
@@ -37,20 +33,7 @@ void hmc::HostController::audit(check::AuditReporter& rep) const {
                  "outstanding read " + std::to_string(id) + " is on attempt " +
                      std::to_string(p.attempt) + " with a retry budget of " +
                      std::to_string(retry_budget));
-      rep.expect(p.timer != 0 || device_.fault_plan() == nullptr ||
-                     device_.config().fault.host_timeout_ticks == 0,
-                 "host-timer-armed",
-                 "outstanding read " + std::to_string(id) +
-                     " has no timeout armed while fault recovery is active");
-      if (p.timer != 0) ++timers_referenced;
     }
-    // Every live timer belongs to an outstanding request; a timer that
-    // outlives its request would fire on a dangling id.
-    rep.expect(timeouts_.pending() <= timers_referenced, "host-timer-leak",
-               std::to_string(timeouts_.pending()) +
-                   " timers pending for " +
-                   std::to_string(timers_referenced) +
-                   " timer-bearing outstanding reads");
   }
   device_.audit(rep);
 }

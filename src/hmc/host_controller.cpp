@@ -8,12 +8,13 @@ namespace camps::hmc {
 HostController::HostController(sim::Simulator& sim, const HmcConfig& config,
                                prefetch::SchemeKind scheme,
                                const prefetch::SchemeParams& params,
-                               StatRegistry* stats, obs::TraceRecorder* trace)
+                               StatRegistry* stats, ReadDoneFn on_read_done,
+                               obs::TraceRecorder* trace)
     : sim_(sim),
       device_(sim, config, scheme, params, stats,
               [this](const MemRequest& req) { deliver(req); }, trace),
-      trace_(trace),
-      timeouts_(sim) {
+      on_read_done_(std::move(on_read_done)),
+      trace_(trace) {
   if (stats != nullptr) {
     h_lat_total_read_ = &stats->histogram("latency.total_read_cycles",
                                           /*bucket_width=*/32,
@@ -21,24 +22,22 @@ HostController::HostController(sim::Simulator& sim, const HmcConfig& config,
   }
 }
 
-u64 HostController::read(Addr addr, CoreId core, CompletionFn on_done) {
+u64 HostController::read(Addr addr, CoreId core) {
   MemRequest req;
   req.id = next_id_++;
   req.addr = addr;
   req.type = AccessType::kRead;
   req.core = core;
   req.created = sim_.now();
-  Pending pending;
-  pending.on_done = std::move(on_done);
-  pending.addr = addr;
-  pending.core = core;
-  pending.first_created = req.created;
-  const auto [it, inserted] = outstanding_.emplace(req.id, std::move(pending));
+  const auto [it, inserted] = outstanding_.emplace(
+      req.id,
+      Pending{.addr = addr, .core = core, .first_created = req.created});
   CAMPS_ASSERT(inserted);
   ++reads_;
   const auto& fault_cfg = device_.config().fault;
   if (device_.fault_plan() != nullptr && fault_cfg.host_timeout_ticks > 0) {
-    arm_timeout(req.id, fault_cfg.host_timeout_ticks);
+    sim_.schedule(fault_cfg.host_timeout_ticks,
+                  [this, id = req.id] { on_timeout(id); });
   }
   device_.submit(req, sim_.now());
   return req.id;
@@ -56,21 +55,16 @@ u64 HostController::write(Addr addr, CoreId core) {
   return req.id;
 }
 
-void HostController::arm_timeout(u64 id, Tick delay) {
-  const auto it = outstanding_.find(id);
-  CAMPS_ASSERT(it != outstanding_.end());
-  it->second.timer = timeouts_.arm(delay, [this, id] { on_timeout(id); });
-}
-
 void HostController::on_timeout(u64 id) {
   const auto it = outstanding_.find(id);
-  CAMPS_ASSERT_MSG(it != outstanding_.end(), "timeout for unknown request");
+  // Answered (or re-keyed by an earlier timeout) meanwhile: ids are never
+  // reused, so this timer is dead.
+  if (it == outstanding_.end()) return;
   fault::FaultPlan* plan = device_.fault_plan();
   CAMPS_ASSERT_MSG(plan != nullptr, "timeout armed without a fault plan");
   const auto& fault_cfg = device_.config().fault;
-  Pending pending = std::move(it->second);
+  Pending pending = it->second;
   outstanding_.erase(it);
-  pending.timer = 0;
   if (pending.attempt > fault_cfg.host_retry_budget) {
     // Retry budget exhausted: complete the request poisoned so the core
     // can account the loss instead of stalling forever.
@@ -87,7 +81,7 @@ void HostController::on_timeout(u64 id) {
       trace_->record(obs::Stage::kHostRead, req.core, req.id,
                      pending.first_created, sim_.now());
     }
-    if (pending.on_done) pending.on_done(req);
+    if (on_read_done_) on_read_done_(req);
     return;
   }
   // Linear backoff: the n-th retry waits n backoff periods before
@@ -95,7 +89,7 @@ void HostController::on_timeout(u64 id) {
   const Tick backoff = fault_cfg.host_backoff_ticks * pending.attempt;
   ++retries_;
   plan->count_host_retry();
-  reissue(std::move(pending), backoff);
+  reissue(pending, backoff);
 }
 
 void HostController::reissue(Pending pending, Tick backoff) {
@@ -106,9 +100,11 @@ void HostController::reissue(Pending pending, Tick backoff) {
   pending.attempt += 1;
   const auto& fault_cfg = device_.config().fault;
   const Tick timeout = fault_cfg.host_timeout_ticks;
-  const auto [it, inserted] = outstanding_.emplace(id, std::move(pending));
+  const auto [it, inserted] = outstanding_.emplace(id, pending);
   CAMPS_ASSERT(inserted);
-  if (timeout > 0) arm_timeout(id, backoff + timeout);
+  if (timeout > 0) {
+    sim_.schedule(backoff + timeout, [this, id] { on_timeout(id); });
+  }
   sim_.schedule(backoff, [this, id] {
     const auto entry = outstanding_.find(id);
     if (entry == outstanding_.end()) return;  // poisoned meanwhile
@@ -134,8 +130,7 @@ void HostController::deliver(const MemRequest& request) {
     }
     CAMPS_ASSERT_MSG(false, "response for unknown request");
   }
-  Pending& pending = it->second;
-  if (pending.timer != 0) timeouts_.cancel(pending.timer);
+  const Pending& pending = it->second;
   const u64 cycles =
       (sim_.now() - pending.first_created) / sim::kCpuTicksPerCycle;
   latency_.sample(cycles);
@@ -150,9 +145,8 @@ void HostController::deliver(const MemRequest& request) {
   }
   latency_cycles_total_ += cycles;
   ++completed_;
-  CompletionFn on_done = std::move(pending.on_done);
   outstanding_.erase(it);
-  if (on_done) on_done(request);
+  if (on_read_done_) on_read_done_(request);
 }
 
 void HostController::reset_stats() {

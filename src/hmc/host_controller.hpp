@@ -1,42 +1,46 @@
 // Host-side HMC controller.
 //
 // Sits between the L3 and the cube's serial links: assigns request ids,
-// tracks outstanding reads, invokes per-request completion callbacks, and
-// measures main-memory access latency (request submission to response
-// delivery) — the raw material of the paper's AMAT metric (Fig. 8).
+// tracks outstanding reads by id, reports every finished read through the
+// one read-done hook given at construction, and measures main-memory
+// access latency (request submission to response delivery) — the raw
+// material of the paper's AMAT metric (Fig. 8).
 //
-// Fault recovery: when the device carries a FaultPlan, every read arms a
-// timeout. A read that times out is re-issued under a fresh id after a
-// linear backoff; one that exhausts the retry budget completes poisoned
-// (MemRequest::poisoned) so the core side can account the loss instead of
-// hanging. Responses to superseded ids are counted, not delivered. None of
-// this machinery exists at runtime when faults are disabled — no timer
-// events, no extra state — preserving byte-identical fault-free runs.
+// Fault recovery: when the device carries a FaultPlan, every read schedules
+// a timeout event keyed by its request id. The timeout acts only if that id
+// is still outstanding (ids are never reused, so an answered read's timeout
+// fires as a no-op). A read that times out is re-issued under a fresh id
+// after a linear backoff; one that exhausts the retry budget completes
+// poisoned (MemRequest::poisoned) so the core side can account the loss
+// instead of hanging. Responses to superseded ids are counted, not
+// delivered. None of this machinery exists at runtime when faults are
+// disabled — no timer events, no extra state — preserving byte-identical
+// fault-free runs.
 #pragma once
 
 #include <functional>
 #include <unordered_map>
 
 #include "hmc/hmc_device.hpp"
-#include "sim/timeout.hpp"
 
 namespace camps::hmc {
 
 class HostController final {
  public:
-  using CompletionFn = std::function<void(const MemRequest&)>;
+  /// Fired once per read: when its response returns, or when it is
+  /// poisoned after exhausting the retry budget (MemRequest::poisoned).
+  using ReadDoneFn = std::function<void(const MemRequest&)>;
 
   HostController(sim::Simulator& sim, const HmcConfig& config,
                  prefetch::SchemeKind scheme,
                  const prefetch::SchemeParams& params, StatRegistry* stats,
-                 obs::TraceRecorder* trace = nullptr);
+                 ReadDoneFn on_read_done, obs::TraceRecorder* trace = nullptr);
 
-  /// Issues a read; `on_done` fires when the response returns (or when the
-  /// request is poisoned after exhausting the retry budget — check
-  /// MemRequest::poisoned).
-  u64 read(Addr addr, CoreId core, CompletionFn on_done);
+  /// Issues a read and returns its request id; the read-done hook reports
+  /// its completion.
+  u64 read(Addr addr, CoreId core);
 
-  /// Issues a posted write (no completion callback).
+  /// Issues a posted write (it never reaches the read-done hook).
   u64 write(Addr addr, CoreId core);
 
   bool idle() const { return outstanding_.empty() && device_.idle(); }
@@ -71,27 +75,25 @@ class HostController final {
   /// late response to a superseded id is identifiable instead of being
   /// mistaken for the retry's answer.
   struct Pending {
-    CompletionFn on_done;
     Addr addr = 0;
     CoreId core = 0;
     Tick first_created = 0;  ///< Original issue; latency baseline.
     u32 attempt = 1;
-    sim::TimeoutScheduler::Handle timer = 0;  ///< 0: no timer armed.
   };
 
   void deliver(const MemRequest& request);
-  void arm_timeout(u64 id, Tick delay);
+  /// Retries or poisons `id`; a no-op once `id` is no longer outstanding.
   void on_timeout(u64 id);
   /// Re-submits `pending` under a fresh id after `backoff` ticks.
   void reissue(Pending pending, Tick backoff);
 
   sim::Simulator& sim_;
   HmcDevice device_;
+  ReadDoneFn on_read_done_;
   obs::TraceRecorder* trace_ = nullptr;
   // Keyed lookup/erase only — never iterated for ordered output, so the
   // unspecified iteration order cannot leak into results.
   std::unordered_map<u64, Pending> outstanding_;  // camps-lint: allow(determinism)
-  sim::TimeoutScheduler timeouts_;
   Histogram latency_{/*bucket_width=*/25, /*num_buckets=*/128};
   Histogram* h_lat_total_read_ = nullptr;  ///< Registry copy of latency_.
   u64 next_id_ = 1;

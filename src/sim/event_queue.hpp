@@ -4,7 +4,7 @@
 // number breaks heap ties), which makes whole-system runs bit-for-bit
 // deterministic regardless of heap internals.
 //
-// Two hot-path design choices (see bench/micro_event_queue.cpp):
+// Two hot-path design choices:
 //  * Event is a small-buffer-optimized functor: captures up to
 //    Event::kInlineCapacity bytes live inside the event record, so the
 //    common vault/core/cache callbacks never touch the heap. Larger or

@@ -1,7 +1,13 @@
 #include "system/config.hpp"
 
+#include <algorithm>
+#include <bit>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "hmc/packet.hpp"
 
 namespace camps::system {
 
@@ -16,6 +22,58 @@ trace::PatternGeometry SystemConfig::pattern_geometry() const {
 
 u64 SystemConfig::core_slice_bytes() const {
   return hmc.geometry.capacity_bytes() / cores;
+}
+
+std::vector<std::string> SystemConfig::validate() const {
+  std::vector<std::string> errors;
+  auto check = [&](bool ok, const char* key, auto value,
+                   const std::string& rule) {
+    if (ok) return;
+    std::ostringstream msg;
+    msg << key << " = " << value << ": " << rule;
+    errors.push_back(msg.str());
+  };
+  check(cores >= 1, "cores", cores, "must be at least 1");
+  check(core.issue_width >= 1, "core.issue_width", core.issue_width,
+        "must be at least 1");
+  check(core.max_outstanding_loads >= 1, "core.max_outstanding",
+        core.max_outstanding_loads, "must be at least 1");
+  const hmc::HmcGeometry& g = hmc.geometry;
+  check(std::has_single_bit(g.vaults), "hmc.vaults", g.vaults,
+        "must be a power of two");
+  check(std::has_single_bit(g.banks_per_vault) && g.banks_per_vault <= 32,
+        "hmc.banks", g.banks_per_vault,
+        "must be a power of two no larger than 32 (the vault scheduler "
+        "tracks banks in a 32-bit mask)");
+  check(hmc.num_links >= 1, "hmc.links", hmc.num_links, "must be at least 1");
+  check(std::has_single_bit(g.rows_per_bank), "hmc.rows_per_bank",
+        g.rows_per_bank, "must be a power of two");
+  check(hmc.vault.buffer.entries >= 1, "buffer.entries",
+        hmc.vault.buffer.entries, "must be at least 1");
+  check(scheme_params.camps.utilization_threshold >= 1, "camps.threshold",
+        scheme_params.camps.utilization_threshold, "must be at least 1");
+  check(scheme_params.camps.conflict_entries >= 1, "camps.conflict_entries",
+        scheme_params.camps.conflict_entries, "must be at least 1");
+  check(scheme_params.mmd.max_degree >= scheme_params.mmd.initial_degree,
+        "mmd.max_degree", scheme_params.mmd.max_degree,
+        "must be at least the initial degree");
+  const fault::FaultConfig& f = hmc.fault;
+  for (const auto& [key, rate] :
+       {std::pair{"fault.link_crc_rate", f.link_crc_rate},
+        std::pair{"fault.link_drop_rate", f.link_drop_rate},
+        std::pair{"fault.xbar_drop_rate", f.xbar_drop_rate},
+        std::pair{"fault.vault_stall_rate", f.vault_stall_rate}}) {
+    check(rate >= 0.0 && rate <= 1.0, key, rate, "must lie in [0, 1]");
+  }
+  // A packet may not start serializing until every one of its flits holds
+  // a token, so the pool must cover the largest packet.
+  const u32 max_flits = std::max(hmc::flits_for(hmc::PacketKind::kWriteReq),
+                                 hmc::flits_for(hmc::PacketKind::kReadResp));
+  check(f.link_tokens == 0 || f.link_tokens >= max_flits, "fault.link_tokens",
+        f.link_tokens,
+        "must be 0 (no flow control) or hold the largest packet (" +
+            std::to_string(max_flits) + " flits)");
+  return errors;
 }
 
 SystemConfig table1_config(prefetch::SchemeKind scheme) {

@@ -1,6 +1,9 @@
 // Whole-system configuration (Table I) and config-file overrides.
 #pragma once
 
+#include <string>
+#include <vector>
+
 #include "cache/hierarchy.hpp"
 #include "common/config_file.hpp"
 #include "cpu/core.hpp"
@@ -36,6 +39,12 @@ struct SystemConfig {
 
   /// Per-core physical address slice in bytes (cube capacity / cores).
   u64 core_slice_bytes() const;
+
+  /// Checks the values that component constructors assert on. Returns one
+  /// message per bad value, each naming its config key ("hmc.banks = 64:
+  /// ..."); empty when the config can be built. Front ends call this
+  /// before constructing a System so bad input fails as a usage error.
+  std::vector<std::string> validate() const;
 };
 
 /// Table I defaults with the given scheme.

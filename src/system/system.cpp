@@ -1,7 +1,6 @@
 #include "system/system.hpp"
 
 #include <chrono>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -42,10 +41,8 @@ class System::MemoryAdapter final : public cache::MemoryPort {
  public:
   explicit MemoryAdapter(hmc::HostController* host) : host_(host) {}
 
-  void mem_read(Addr line_addr, CoreId core,
-                std::function<void()> done) override {
-    host_->read(line_addr, core,
-                [done = std::move(done)](const hmc::MemRequest&) { done(); });
+  void mem_read(Addr line_addr, CoreId core) override {
+    host_->read(line_addr, core);
   }
   void mem_write(Addr line_addr, CoreId core) override {
     host_->write(line_addr, core);
@@ -61,11 +58,18 @@ System::System(const SystemConfig& config,
   CAMPS_ASSERT_MSG(traces.size() == cfg_.cores,
                    "one trace source per core required");
   if (cfg_.obs.trace_enabled) trace_.enable(cfg_.obs.trace_capacity);
+  // Completions route by key: a finished read names its line, a finished
+  // load names its core.
   host_ = std::make_unique<hmc::HostController>(
-      sim_, cfg_.hmc, cfg_.scheme, cfg_.scheme_params, &stats_, &trace_);
+      sim_, cfg_.hmc, cfg_.scheme, cfg_.scheme_params, &stats_,
+      [this](const hmc::MemRequest& req) {
+        caches_->fill_from_memory(req.addr);
+      },
+      &trace_);
   adapter_ = std::make_unique<MemoryAdapter>(host_.get());
-  caches_ = std::make_unique<cache::CacheHierarchy>(sim_, cfg_.caches,
-                                                    cfg_.cores, adapter_.get());
+  caches_ = std::make_unique<cache::CacheHierarchy>(
+      sim_, cfg_.caches, cfg_.cores, adapter_.get(),
+      [this](CoreId core) { cores_[core]->on_load_done(); });
   const u64 slice = cfg_.core_slice_bytes();
   traces_.reserve(cfg_.cores);
   cores_.reserve(cfg_.cores);

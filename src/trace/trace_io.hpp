@@ -1,20 +1,14 @@
-// Binary trace file formats (".ctrc").
-//
-// Version 1 (fixed-width), layout (little-endian):
+// Binary trace file format (".ctrc"), version 2. Header (little-endian):
 //   8 bytes  magic "CAMPSTRC"
-//   4 bytes  format version (1)
+//   4 bytes  format version (2)
 //   8 bytes  record count
-//   records: { u32 gap, u8 type, 3 pad bytes, u64 addr } x count
-//
-// The fixed 16-byte record keeps readers trivially seekable; pad bytes must
-// be zero and are verified on read so corrupt files fail fast.
-//
-// Version 2 (compact) varint-delta-encodes each record:
+// then each record, varint-delta-encoded:
 //   byte 0      flags: bit0 = write, bit1 = addr delta is negative
 //   varint      gap
 //   varint      zig-zag-free |addr - prev_addr| in 64 B lines
-// Spatially local traces compress roughly 4-5x vs v1. Both versions share
-// the magic; the version field selects the decoder.
+// The first record's delta is taken from address 0; spatially local traces
+// take a few bytes per record. The reader rejects every other version,
+// including the fixed-width version 1.
 #pragma once
 
 #include <memory>
@@ -26,19 +20,15 @@
 
 namespace camps::trace {
 
-/// Writes `records` to `path` in version 1 (fixed-width). Throws
-/// std::runtime_error on I/O failure.
+/// Writes `records` to `path`. Addresses must be 64 B aligned (trace
+/// generators guarantee this); throws std::runtime_error otherwise or on
+/// I/O failure.
 void write_trace_file(const std::string& path,
                       const std::vector<TraceRecord>& records);
 
-/// Writes `records` in the compact version 2 encoding. Addresses must be
-/// 64 B aligned (trace generators guarantee this); throws
-/// std::runtime_error otherwise or on I/O failure.
-void write_trace_file_v2(const std::string& path,
-                         const std::vector<TraceRecord>& records);
-
 /// Reads a whole trace file. Throws std::runtime_error on I/O failure,
-/// bad magic, unsupported version, or a truncated/corrupt body.
+/// bad magic, unsupported version, or a truncated/corrupt body; body
+/// errors name the failing record.
 std::vector<TraceRecord> read_trace_file(const std::string& path);
 
 /// Streaming reader for large files; yields records without loading the

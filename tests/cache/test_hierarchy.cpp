@@ -1,8 +1,8 @@
 // Three-level hierarchy: latency composition, fills, writebacks, MSHRs.
 
-#include <functional>
 #include <gtest/gtest.h>
-#include <map>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "cache/hierarchy.hpp"
@@ -10,14 +10,14 @@
 namespace camps::cache {
 namespace {
 
-/// Scripted memory: records traffic, completes reads after a fixed delay.
+/// Scripted memory: records traffic, answers reads after a fixed delay.
 class FakeMemory final : public MemoryPort {
  public:
   FakeMemory(sim::Simulator& sim, Tick latency) : sim_(sim), latency_(latency) {}
 
-  void mem_read(Addr line, CoreId core, std::function<void()> done) override {
+  void mem_read(Addr line, CoreId core) override {
     reads.push_back({line, core});
-    sim_.schedule(latency_, std::move(done));
+    sim_.schedule(latency_, [this, line] { hier->fill_from_memory(line); });
   }
   void mem_write(Addr line, CoreId core) override {
     writes.push_back({line, core});
@@ -25,6 +25,7 @@ class FakeMemory final : public MemoryPort {
 
   std::vector<std::pair<Addr, CoreId>> reads;
   std::vector<std::pair<Addr, CoreId>> writes;
+  CacheHierarchy* hier = nullptr;  ///< Answers go here.
 
  private:
   sim::Simulator& sim_;
@@ -33,28 +34,46 @@ class FakeMemory final : public MemoryPort {
 
 struct Harness {
   sim::Simulator sim;
-  FakeMemory memory{sim, 600 * sim::kCpuTicksPerCycle};
+  FakeMemory memory;
   HierarchyConfig cfg;
+  /// (core, tick) of every on_load_done, in firing order.
+  std::vector<std::pair<CoreId, Tick>> loads_done;
   CacheHierarchy hier;
 
-  explicit Harness(u32 cores = 2)
-      : cfg(small_config()), hier(sim, cfg, cores, &memory) {}
+  explicit Harness(u32 cores = 2, u32 mshr_entries = 0,
+                   u64 memory_cycles = 600)
+      : memory(sim, memory_cycles * sim::kCpuTicksPerCycle),
+        cfg(small_config(mshr_entries)),
+        hier(sim, cfg, cores, &memory, [this](CoreId core) {
+          loads_done.emplace_back(core, sim.now());
+        }) {
+    memory.hier = &hier;
+  }
 
-  static HierarchyConfig small_config() {
+  static HierarchyConfig small_config(u32 mshr_entries = 0) {
     HierarchyConfig cfg;
     cfg.l1 = CacheConfig{1024, 2, 64, 2};
     cfg.l2 = CacheConfig{4096, 4, 64, 6};
     cfg.l3 = CacheConfig{16384, 4, 64, 20};
+    cfg.mshr_entries = mshr_entries;
     return cfg;
   }
 
   /// Issues a read and returns its completion latency in CPU cycles.
   u64 timed_read(CoreId core, Addr addr) {
     const Tick start = sim.now();
-    Tick end = 0;
-    hier.read(core, addr, [&] { end = sim.now(); });
+    const size_t before = loads_done.size();
+    hier.read(core, addr);
     sim.run();
-    return (end - start) / sim::kCpuTicksPerCycle;
+    EXPECT_EQ(loads_done.size(), before + 1) << "one completion per load";
+    EXPECT_EQ(loads_done.back().first, core);
+    return (loads_done.back().second - start) / sim::kCpuTicksPerCycle;
+  }
+
+  std::vector<CoreId> load_cores() const {
+    std::vector<CoreId> cores;
+    for (const auto& [core, tick] : loads_done) cores.push_back(core);
+    return cores;
   }
 };
 
@@ -103,12 +122,11 @@ TEST(Hierarchy, PrivateL1sIndependent) {
 
 TEST(Hierarchy, MshrMergesSameLineMisses) {
   Harness h;
-  int done = 0;
-  h.hier.read(0, 0x20000, [&] { ++done; });
-  h.hier.read(1, 0x20000, [&] { ++done; });
-  h.hier.read(0, 0x20040, [&] { ++done; });  // different line
+  h.hier.read(0, 0x20000);
+  h.hier.read(1, 0x20000);
+  h.hier.read(0, 0x20040);  // different line
   h.sim.run();
-  EXPECT_EQ(done, 3);
+  EXPECT_EQ(h.loads_done.size(), 3u);
   EXPECT_EQ(h.memory.reads.size(), 2u) << "same-line misses merged";
   EXPECT_EQ(h.hier.mshrs().merges(), 1u);
 }
@@ -128,7 +146,7 @@ TEST(Hierarchy, DirtyLineWrittenBackToMemoryEventually) {
   // Push the dirty line out of L1, L2, and L3 by filling each level's set.
   // Simplest reliable flood: read a working set larger than the whole L3.
   for (Addr a = 0; a < 64 * 1024; a += 64) {
-    h.hier.read(0, 0x100000 + a, nullptr);
+    h.hier.read(0, 0x100000 + a);
     h.sim.run();
   }
   bool found = false;
@@ -141,7 +159,7 @@ TEST(Hierarchy, DirtyLineWrittenBackToMemoryEventually) {
 TEST(Hierarchy, CleanEvictionsProduceNoMemoryWrites) {
   Harness h;
   for (Addr a = 0; a < 64 * 1024; a += 64) {
-    h.hier.read(0, 0x100000 + a, nullptr);
+    h.hier.read(0, 0x100000 + a);
     h.sim.run();
   }
   EXPECT_TRUE(h.memory.writes.empty());
@@ -172,36 +190,55 @@ TEST(Hierarchy, ResetStatsKeepsWarmContents) {
 }
 
 TEST(Hierarchy, FiniteMshrsDeferButComplete) {
-  sim::Simulator sim;
-  FakeMemory memory{sim, 500 * sim::kCpuTicksPerCycle};
-  HierarchyConfig cfg = Harness::small_config();
-  cfg.mshr_entries = 2;
-  CacheHierarchy hier(sim, cfg, 1, &memory);
-  int done = 0;
+  Harness h(/*cores=*/1, /*mshr_entries=*/2, /*memory_cycles=*/500);
   // Eight distinct-line misses with only two MSHRs: at most two fetches
   // may ever be outstanding, yet all loads must complete.
   for (int i = 0; i < 8; ++i) {
-    hier.read(0, 0x100000 + 64 * static_cast<Addr>(i), [&] { ++done; });
-    EXPECT_LE(hier.mshrs().entries_in_use(), 2u);
+    h.hier.read(0, 0x100000 + 64 * static_cast<Addr>(i));
+    EXPECT_LE(h.hier.mshrs().entries_in_use(), 2u);
   }
-  EXPECT_GT(hier.mshrs().full_rejections(), 0u);
-  sim.run();
-  EXPECT_EQ(done, 8);
-  EXPECT_EQ(memory.reads.size(), 8u);
+  EXPECT_GT(h.hier.mshrs().full_rejections(), 0u);
+  h.sim.run();
+  EXPECT_EQ(h.loads_done.size(), 8u);
+  EXPECT_EQ(h.memory.reads.size(), 8u);
 }
 
 TEST(Hierarchy, FiniteMshrsSerializeMemoryTraffic) {
-  sim::Simulator sim;
-  FakeMemory memory{sim, 500 * sim::kCpuTicksPerCycle};
-  HierarchyConfig cfg = Harness::small_config();
-  cfg.mshr_entries = 1;
-  CacheHierarchy hier(sim, cfg, 1, &memory);
-  Tick first_done = 0, second_done = 0;
-  hier.read(0, 0x200000, [&] { first_done = sim.now(); });
-  hier.read(0, 0x300000, [&] { second_done = sim.now(); });
-  sim.run();
+  Harness h(/*cores=*/1, /*mshr_entries=*/1, /*memory_cycles=*/500);
+  h.hier.read(0, 0x200000);
+  h.hier.read(0, 0x300000);
+  h.sim.run();
+  ASSERT_EQ(h.loads_done.size(), 2u);
+  const Tick first_done = h.loads_done[0].second;
+  const Tick second_done = h.loads_done[1].second;
   // With one MSHR the second fetch cannot overlap the first.
   EXPECT_GE(second_done - first_done, 500 * sim::kCpuTicksPerCycle * 9 / 10);
+  ASSERT_EQ(h.memory.reads.size(), 2u);
+  EXPECT_EQ(h.memory.reads[0].first, 0x200000u);
+  EXPECT_EQ(h.memory.reads[1].first, 0x300000u);
+}
+
+TEST(Hierarchy, MergedStoreAndLoadMissesWakeInArrivalOrder) {
+  Harness h;
+  h.hier.write(0, 0x90000);  // store miss allocates the entry
+  h.hier.read(1, 0x90000);   // load misses merge behind it
+  h.hier.read(0, 0x90008);   // same line, other core
+  EXPECT_EQ(h.hier.mshrs().entries_in_use(), 1u);
+  EXPECT_EQ(h.hier.mshrs().merges(), 2u);
+  h.sim.run();
+  EXPECT_EQ(h.memory.reads.size(), 1u) << "one fetch serves all three";
+  // Only the loads complete, in the order they arrived, at the same tick.
+  EXPECT_EQ(h.load_cores(), (std::vector<CoreId>{1, 0}));
+  ASSERT_EQ(h.loads_done.size(), 2u);
+  EXPECT_EQ(h.loads_done[0].second, h.loads_done[1].second);
+  EXPECT_EQ(h.hier.loads_completed(), 2u);
+  // The store's waiter landed the line dirty in its core's L1; the other
+  // core's copy is clean. (Read the dirty bit from copies: invalidate()
+  // reports it.)
+  Cache l1_core0 = h.hier.l1(0);
+  EXPECT_EQ(l1_core0.invalidate(0x90000), std::optional<bool>(true));
+  Cache l1_core1 = h.hier.l1(1);
+  EXPECT_EQ(l1_core1.invalidate(0x90000), std::optional<bool>(false));
 }
 
 TEST(Hierarchy, WriteToPresentLineIsSilent) {

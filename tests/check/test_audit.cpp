@@ -155,8 +155,8 @@ TEST(CleanAudit, PrefetchBufferAndMshr) {
   for (u32 r = 0; r < 6; ++r) buffer.insert(BankRow{0, r});
   buffer.access(BankRow{0, 4}, 3, AccessType::kRead);
   cache::MshrFile mshrs(8);
-  mshrs.allocate(0x1000, [] {});
-  mshrs.allocate(0x1000, [] {});
+  mshrs.allocate(0x1000, {});
+  mshrs.allocate(0x1000, {});
   AuditReporter rep;
   buffer.audit(rep);
   mshrs.audit(rep);

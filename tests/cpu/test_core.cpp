@@ -1,6 +1,5 @@
 // Trace-driven core: issue pacing, the outstanding-load window, and the
 // warmup/measurement methodology hooks.
-#include <functional>
 #include <gtest/gtest.h>
 #include <memory>
 #include <vector>
@@ -14,12 +13,13 @@ namespace {
 class FixedMemory final : public cache::MemoryPort {
  public:
   FixedMemory(sim::Simulator& sim, Tick latency) : sim_(sim), latency_(latency) {}
-  void mem_read(Addr, CoreId, std::function<void()> done) override {
+  void mem_read(Addr line, CoreId) override {
     ++reads;
-    sim_.schedule(latency_, std::move(done));
+    sim_.schedule(latency_, [this, line] { caches->fill_from_memory(line); });
   }
   void mem_write(Addr, CoreId) override { ++writes; }
   u64 reads = 0, writes = 0;
+  cache::CacheHierarchy* caches = nullptr;  ///< Answers go here.
 
  private:
   sim::Simulator& sim_;
@@ -37,10 +37,13 @@ cache::HierarchyConfig tiny_caches() {
 struct Harness {
   sim::Simulator sim;
   FixedMemory memory{sim, 200 * sim::kCpuTicksPerCycle};
-  cache::CacheHierarchy caches{sim, tiny_caches(), 1, &memory};
   std::unique_ptr<trace::VectorTraceSource> trace;
   std::unique_ptr<Core> core;
+  cache::CacheHierarchy caches{sim, tiny_caches(), 1, &memory,
+                               [this](CoreId) { core->on_load_done(); }};
   std::vector<CoreId> warmed, measured;
+
+  Harness() { memory.caches = &caches; }
 
   void build(std::vector<trace::TraceRecord> records, CoreConfig cfg) {
     trace = std::make_unique<trace::VectorTraceSource>(std::move(records));
@@ -192,7 +195,10 @@ TEST(Core, MeasuredIpcUsesOnlyTheWindow) {
 TEST(Core, TwoCoresShareTheHierarchyIndependently) {
   sim::Simulator sim;
   FixedMemory memory{sim, 200 * sim::kCpuTicksPerCycle};
-  cache::CacheHierarchy caches{sim, tiny_caches(), 2, &memory};
+  std::vector<Core*> by_id;  // load completions route by core id
+  cache::CacheHierarchy caches{sim, tiny_caches(), 2, &memory,
+                               [&](CoreId id) { by_id[id]->on_load_done(); }};
+  memory.caches = &caches;
   CoreConfig cfg;
   cfg.warmup_instructions = 200;   // past core 0's four cold misses
   cfg.measure_instructions = 400;
@@ -208,6 +214,7 @@ TEST(Core, TwoCoresShareTheHierarchyIndependently) {
             [&](CoreId) { ++done; });
   Core slow(sim, 1, cfg, &cold_src, &caches, nullptr,
             [&](CoreId) { ++done; });
+  by_id = {&fast, &slow};
   fast.start();
   slow.start();
   sim.run();

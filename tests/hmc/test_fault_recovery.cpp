@@ -5,6 +5,7 @@
 // audit invariant intact.
 #include <gtest/gtest.h>
 #include <memory>
+#include <vector>
 
 #include "check/audit.hpp"
 #include "hmc/host_controller.hpp"
@@ -16,13 +17,15 @@ struct DeviceHarness {
   sim::Simulator sim;
   StatRegistry stats;
   std::unique_ptr<HostController> host;
+  std::vector<MemRequest> done;  ///< Every read-done hook call, in order.
 
   explicit DeviceHarness(
       prefetch::SchemeKind scheme = prefetch::SchemeKind::kNone,
       HmcConfig cfg = {}) {
     cfg.vault.refresh_enabled = false;  // determinism for latency asserts
-    host = std::make_unique<HostController>(sim, cfg, scheme,
-                                            prefetch::SchemeParams{}, &stats);
+    host = std::make_unique<HostController>(
+        sim, cfg, scheme, prefetch::SchemeParams{}, &stats,
+        [this](const MemRequest& req) { done.push_back(req); });
   }
 };
 
@@ -118,15 +121,12 @@ TEST(FaultRecovery, RetryBudgetExhaustionPoisonsTheRequest) {
   cfg.fault.host_retry_budget = 2;
   DeviceHarness h(prefetch::SchemeKind::kNone, cfg);
 
-  bool done = false;
-  h.host->read(0x1000, 0, [&](const MemRequest& req) {
-    done = true;
-    EXPECT_TRUE(req.poisoned);
-    EXPECT_EQ(req.addr, 0x1000u);
-  });
+  h.host->read(0x1000, 0);
   h.sim.run();
 
-  EXPECT_TRUE(done);
+  ASSERT_EQ(h.done.size(), 1u);
+  EXPECT_TRUE(h.done[0].poisoned);
+  EXPECT_EQ(h.done[0].addr, 0x1000u);
   EXPECT_TRUE(h.host->idle());
   EXPECT_EQ(h.host->reads_poisoned(), 1u);
   EXPECT_EQ(h.host->retries_issued(), 2u);  // budget fully spent
@@ -146,15 +146,12 @@ TEST(FaultRecovery, SingleDropRecoversWithinBudget) {
                                 /*sequence=*/0});
   DeviceHarness h(prefetch::SchemeKind::kNone, cfg);
 
-  bool done = false;
   const Addr addr = vault_addr(h, /*vault=*/0, /*row=*/1);  // via link 0
-  h.host->read(addr, 0, [&](const MemRequest& req) {
-    done = true;
-    EXPECT_FALSE(req.poisoned);
-  });
+  h.host->read(addr, 0);
   h.sim.run();
 
-  EXPECT_TRUE(done);
+  ASSERT_EQ(h.done.size(), 1u);
+  EXPECT_FALSE(h.done[0].poisoned);
   EXPECT_EQ(h.host->reads_completed(), 1u);
   EXPECT_EQ(h.host->reads_poisoned(), 0u);
   EXPECT_EQ(h.host->retries_issued(), 1u);
@@ -182,20 +179,51 @@ TEST(FaultRecovery, LateResponseToSupersededIdIsCountedNotDelivered) {
   cfg.fault.host_backoff_ticks = 2400;
   DeviceHarness h(prefetch::SchemeKind::kNone, cfg);
 
-  int completions = 0;
-  h.host->read(vault_addr(h, 0, 1), 0,
-               [&](const MemRequest& req) {
-                 ++completions;
-                 EXPECT_FALSE(req.poisoned);
-               });
+  h.host->read(vault_addr(h, 0, 1), 0);
   h.sim.run();
 
-  EXPECT_EQ(completions, 1);  // the late duplicate must not fire on_done
+  // The late duplicate must not reach the read-done hook.
+  ASSERT_EQ(h.done.size(), 1u);
+  EXPECT_FALSE(h.done[0].poisoned);
   EXPECT_EQ(h.host->reads_completed(), 1u);
   EXPECT_EQ(h.host->retries_issued(), 1u);
   EXPECT_EQ(h.host->reads_poisoned(), 0u);
   EXPECT_EQ(h.stats.counter_value("fault.vault_stalls"), 1u);
   EXPECT_EQ(h.stats.counter_value("fault.late_responses"), 1u);
+  EXPECT_TRUE(h.host->idle());
+}
+
+TEST(HostController, AnsweredReadsTimeoutFiresAsNoOp) {
+  HmcConfig cfg;
+  // A fault aimed at a link this read never uses keeps recovery (and so
+  // the per-read timeout) armed without touching the read itself.
+  cfg.fault.targeted.push_back({fault::Site::kLinkDownDrop, /*unit=*/1,
+                                /*sequence=*/0});
+  DeviceHarness h(prefetch::SchemeKind::kNone, cfg);
+  ASSERT_NE(h.host->device().fault_plan(), nullptr);
+
+  const Tick issued = h.sim.now();
+  const u64 id = h.host->read(vault_addr(h, 0, 1), 0);  // via link 0
+  ASSERT_TRUE(h.sim.run_while_pending([&] { return !h.done.empty(); }));
+  EXPECT_LT(h.sim.now() - issued, cfg.fault.host_timeout_ticks)
+      << "the response must beat its timeout for this test to mean much";
+  ASSERT_EQ(h.done.size(), 1u);
+  EXPECT_EQ(h.done[0].id, id);
+  EXPECT_FALSE(h.done[0].poisoned);
+
+  // The timeout event is still queued; it fires at its deadline and finds
+  // the id answered.
+  const u64 events_before = h.sim.events_executed();
+  h.sim.run();
+  EXPECT_EQ(h.sim.now(), issued + cfg.fault.host_timeout_ticks)
+      << "the dead timeout is the last event";
+  EXPECT_GT(h.sim.events_executed(), events_before);
+  EXPECT_EQ(h.done.size(), 1u) << "the hook fires exactly once";
+  EXPECT_EQ(h.host->retries_issued(), 0u);
+  EXPECT_EQ(h.host->reads_poisoned(), 0u);
+  EXPECT_EQ(h.host->reads_completed(), 1u);
+  EXPECT_EQ(h.stats.counter_value("fault.host_retries"), 0u);
+  EXPECT_EQ(h.stats.counter_value("fault.late_responses"), 0u);
   EXPECT_TRUE(h.host->idle());
 }
 
@@ -210,16 +238,14 @@ TEST(FaultRecovery, DegradationFlushKeepsEveryAuditInvariant) {
 
   // Sequential rows through a handful of vaults: enough demand to fill
   // prefetch buffers and correlation state before the flushes strike.
-  int completed = 0;
   for (u32 row = 1; row <= 16; ++row) {
     for (u32 vault = 0; vault < 4; ++vault) {
-      h.host->read(vault_addr(h, vault, row), 0,
-                   [&](const MemRequest&) { ++completed; });
+      h.host->read(vault_addr(h, vault, row), 0);
     }
   }
   h.sim.run();
 
-  EXPECT_EQ(completed, 64);
+  EXPECT_EQ(h.done.size(), 64u);
   EXPECT_GE(h.stats.counter_value("fault.degrade_flushes"), 1u);
   EXPECT_GE(h.host->device().vault(0).degrade_flushes(), 1u);
 
@@ -235,7 +261,7 @@ TEST(FaultRecovery, DegradationFlushKeepsEveryAuditInvariant) {
 TEST(FaultRecovery, FaultFreeConfigLeavesNoFaultState) {
   DeviceHarness h;
   EXPECT_EQ(h.host->device().fault_plan(), nullptr);
-  h.host->read(0x1000, 0, nullptr);
+  h.host->read(0x1000, 0);
   h.sim.run();
   EXPECT_FALSE(h.stats.has_counter("fault.crc_errors"));
   EXPECT_EQ(h.stats.find_histogram("fault.recovery_cycles"), nullptr);

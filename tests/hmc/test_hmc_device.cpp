@@ -1,6 +1,7 @@
 // Whole-device and host-controller behaviour.
 #include <gtest/gtest.h>
 #include <memory>
+#include <vector>
 
 #include "hmc/host_controller.hpp"
 
@@ -11,32 +12,33 @@ struct DeviceHarness {
   sim::Simulator sim;
   StatRegistry stats;
   std::unique_ptr<HostController> host;
+  std::vector<MemRequest> done;  ///< Every read-done hook call, in order.
 
   explicit DeviceHarness(
       prefetch::SchemeKind scheme = prefetch::SchemeKind::kNone,
       HmcConfig cfg = {}) {
     cfg.vault.refresh_enabled = false;  // determinism for latency asserts
-    host = std::make_unique<HostController>(sim, cfg, scheme,
-                                            prefetch::SchemeParams{}, &stats);
+    host = std::make_unique<HostController>(
+        sim, cfg, scheme, prefetch::SchemeParams{}, &stats,
+        [this](const MemRequest& req) { done.push_back(req); });
   }
 };
 
 TEST(HostController, ReadCompletesWithCallback) {
   DeviceHarness h;
-  bool done = false;
-  h.host->read(0x1000, 0, [&](const MemRequest& req) {
-    done = true;
-    EXPECT_EQ(req.addr, 0x1000u);
-  });
+  const u64 id = h.host->read(0x1000, 0);
   h.sim.run();
-  EXPECT_TRUE(done);
+  ASSERT_EQ(h.done.size(), 1u);
+  EXPECT_EQ(h.done[0].id, id);
+  EXPECT_EQ(h.done[0].addr, 0x1000u);
+  EXPECT_FALSE(h.done[0].poisoned);
   EXPECT_EQ(h.host->reads_completed(), 1u);
   EXPECT_TRUE(h.host->idle());
 }
 
 TEST(HostController, EndToEndLatencyIncludesLinksAndDram) {
   DeviceHarness h;
-  h.host->read(0x1000, 0, nullptr);
+  h.host->read(0x1000, 0);
   h.sim.run();
   // Round trip: link ser+flight (~4.7 ns) + xbar (2.5) + ACT+RD (32.5 ns)
   // + xbar + response link (~7.2 ns) => > 45 ns => > 135 CPU cycles.
@@ -55,15 +57,13 @@ TEST(HostController, WritesArePosted) {
 
 TEST(HostController, ManyReadsAllComplete) {
   DeviceHarness h;
-  int completed = 0;
   u64 x = 77;
   for (int i = 0; i < 1000; ++i) {
     x = x * 6364136223846793005ULL + 1442695040888963407ULL;
-    h.host->read((x % (u64{1} << 33)) & ~u64{63}, x % 8,
-                 [&](const MemRequest&) { ++completed; });
+    h.host->read((x % (u64{1} << 33)) & ~u64{63}, x % 8);
   }
   h.sim.run();
-  EXPECT_EQ(completed, 1000);
+  EXPECT_EQ(h.done.size(), 1000u);
   EXPECT_EQ(h.host->reads_completed(), 1000u);
   EXPECT_TRUE(h.host->idle());
 }
@@ -71,7 +71,7 @@ TEST(HostController, ManyReadsAllComplete) {
 TEST(HostController, LatencyHistogramPopulated) {
   DeviceHarness h;
   for (int i = 0; i < 50; ++i) {
-    h.host->read(static_cast<Addr>(i) * 4096, 0, nullptr);
+    h.host->read(static_cast<Addr>(i) * 4096, 0);
   }
   h.sim.run();
   EXPECT_EQ(h.host->latency_histogram().count(), 50u);
@@ -80,7 +80,7 @@ TEST(HostController, LatencyHistogramPopulated) {
 
 TEST(HostController, ResetStatsClearsLatency) {
   DeviceHarness h;
-  h.host->read(0, 0, nullptr);
+  h.host->read(0, 0);
   h.sim.run();
   h.host->reset_stats();
   EXPECT_EQ(h.host->reads_completed(), 0u);
@@ -98,7 +98,7 @@ TEST(HmcDevice, RequestsRouteToCorrectVault) {
   d.row = 11;
   d.column = 2;
   const Addr addr = map.encode(d);
-  h.host->read(addr, 0, nullptr);
+  h.host->read(addr, 0);
   h.sim.run();
   EXPECT_EQ(h.host->device().vault(7).demand_reads(), 1u);
   for (VaultId v = 0; v < h.host->device().vault_count(); ++v) {
@@ -117,7 +117,7 @@ TEST(HmcDevice, AggregatesSumOverVaults) {
     d.bank = 0;
     d.row = 1;
     d.column = 0;
-    h.host->read(map.encode(d), 0, nullptr);
+    h.host->read(map.encode(d), 0);
   }
   h.sim.run();
   EXPECT_EQ(h.host->device().total_row_empties(), 8u);
@@ -128,7 +128,7 @@ TEST(HmcDevice, AggregatesSumOverVaults) {
 
 TEST(HmcDevice, EnergyAccumulatesLinkAndDramEvents) {
   DeviceHarness h;
-  h.host->read(0x40, 0, nullptr);
+  h.host->read(0x40, 0);
   h.sim.run();
   const auto& e = h.host->device().energy();
   using energy::EnergyEvent;
@@ -140,7 +140,7 @@ TEST(HmcDevice, EnergyAccumulatesLinkAndDramEvents) {
 
 TEST(HmcDevice, PrefetchAccuracyZeroWithoutPrefetching) {
   DeviceHarness h(prefetch::SchemeKind::kNone);
-  h.host->read(0x40, 0, nullptr);
+  h.host->read(0x40, 0);
   h.sim.run();
   EXPECT_DOUBLE_EQ(h.host->device().prefetch_accuracy(), 0.0);
   EXPECT_EQ(h.host->device().total_prefetches(), 0u);
@@ -151,7 +151,7 @@ TEST(HmcDevice, BaseSchemePrefetchesAcrossVaults) {
   u64 x = 5;
   for (int i = 0; i < 200; ++i) {
     x = x * 6364136223846793005ULL + 1442695040888963407ULL;
-    h.host->read((x % (u64{1} << 30)) & ~u64{63}, 0, nullptr);
+    h.host->read((x % (u64{1} << 30)) & ~u64{63}, 0);
   }
   h.sim.run();
   EXPECT_GT(h.host->device().total_prefetches(), 100u);
@@ -170,7 +170,7 @@ TEST(HmcDevice, ConflictRateComputedOverAllOutcomes) {
     d.row = 1 + (i % 2);
     const Addr addr = map.encode(d);
     h.sim.schedule_at(static_cast<Tick>(i) * 3000,
-                      [&h, addr] { h.host->read(addr, 0, nullptr); });
+                      [&h, addr] { h.host->read(addr, 0); });
   }
   h.sim.run();
   const double rate = h.host->device().row_conflict_rate();
@@ -182,18 +182,16 @@ TEST(HmcDevice, FewerLinksStillDeliver) {
   HmcConfig cfg;
   cfg.num_links = 1;
   DeviceHarness h(prefetch::SchemeKind::kNone, cfg);
-  int completed = 0;
   for (int i = 0; i < 100; ++i) {
-    h.host->read(static_cast<Addr>(i) * 64, 0,
-                 [&](const MemRequest&) { ++completed; });
+    h.host->read(static_cast<Addr>(i) * 64, 0);
   }
   h.sim.run();
-  EXPECT_EQ(completed, 100);
+  EXPECT_EQ(h.done.size(), 100u);
 }
 
 TEST(HmcDevice, StatRegistryExposesVaultCounters) {
   DeviceHarness h;
-  h.host->read(0x40, 0, nullptr);
+  h.host->read(0x40, 0);
   h.sim.run();
   EXPECT_EQ(h.stats.sum_matching("vault*.rb_empty"), 1u);
 }

@@ -32,17 +32,28 @@ TEST_P(ProtocolSoak, InvariantsHold) {
   cfg.vault.page_policy = c.policy;
   cfg.vault.refresh_enabled = c.refresh;
   StatRegistry stats;
-  HostController host(sim, cfg, c.scheme, prefetch::SchemeParams{}, &stats);
-
-  std::map<u64, Tick> submitted;       // request id -> submit tick
-  std::map<u64, u64> responses;        // request id -> response count
-  std::map<u64, Tick> completed_at;
 
   // The cheapest possible read: buffer hit (22 CPU cycles) plus one
   // crossbar+link round trip. Anything faster is a simulator bug.
   const Tick min_latency =
       2 * cfg.crossbar.latency_ticks + 2 * cfg.link.flight_ticks +
       cfg.vault.buffer.hit_latency * sim::kCpuTicksPerCycle;
+
+  std::map<u64, Tick> submitted;       // request id -> submit tick
+  std::map<u64, u64> responses;        // request id -> response count
+  std::map<u64, Tick> completed_at;
+  // Every read completes through the host's one read-done hook, keyed by
+  // request id. The hook only fires from the event loop, after read() has
+  // returned and its id was recorded in `submitted`.
+  HostController host(sim, cfg, c.scheme, prefetch::SchemeParams{}, &stats,
+                      [&](const MemRequest& req) {
+                        ++responses[req.id];
+                        completed_at[req.id] = sim.now();
+                        ASSERT_EQ(submitted.count(req.id), 1u)
+                            << "response to an id never issued";
+                        EXPECT_GE(sim.now() - submitted[req.id], min_latency)
+                            << "response faster than physically possible";
+                      });
 
   u64 x = 2026;
   u64 issued = 0;
@@ -61,7 +72,7 @@ TEST_P(ProtocolSoak, InvariantsHold) {
         if (write) {
           host.write(addr, 0);
         } else {
-          const u64 id = host.read(addr, 0, nullptr);
+          const u64 id = host.read(addr, 0);
           submitted[id] = when;
         }
       });
@@ -71,22 +82,13 @@ TEST_P(ProtocolSoak, InvariantsHold) {
     t += static_cast<Tick>(len) * 30 + (x >> 45) % 300000;
   }
 
-  // Hook completions through a polling wrapper: HostController already
-  // invokes callbacks, but we issued with nullptr above; instead verify
-  // through its aggregate counters plus a second pass with callbacks.
-  // Re-issue a tracked subset with callbacks for per-request checks.
+  // A steady tail of evenly spaced reads after the bursts.
   for (int i = 0; i < 200; ++i) {
     x = x * 6364136223846793005ULL + 1442695040888963407ULL;
     const Addr addr = (x % (u64{1} << 31)) & ~u64{63};
     const Tick when = t + static_cast<Tick>(i) * 60;
     sim.schedule_at(when, [&, addr, when] {
-      const u64 id = host.read(addr, 0, [&, id_holder = &responses,
-                               when](const MemRequest& req) {
-        ++(*id_holder)[req.id];
-        completed_at[req.id] = sim.now();
-        EXPECT_GE(sim.now() - when, min_latency)
-            << "response faster than physically possible";
-      });
+      const u64 id = host.read(addr, 0);
       submitted[id] = when;
     });
   }
@@ -100,7 +102,8 @@ TEST_P(ProtocolSoak, InvariantsHold) {
     EXPECT_EQ(count, 1u) << "request " << id << " answered " << count
                          << " times";
   }
-  EXPECT_EQ(responses.size(), 200u);
+  EXPECT_EQ(responses.size(), issued) << "every read reached the hook";
+  EXPECT_EQ(submitted.size(), issued);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -2,7 +2,9 @@
 
 #include <filesystem>
 #include <gtest/gtest.h>
+#include <ostream>
 #include <string>
+#include <vector>
 
 namespace camps::system {
 namespace {
@@ -150,12 +152,82 @@ TEST(SystemConfig, ShippedConfigsLoad) {
        std::filesystem::directory_iterator(CAMPS_CONFIG_DIR)) {
     if (entry.path().extension() != ".ini") continue;
     SCOPED_TRACE(entry.path().string());
-    EXPECT_NO_THROW(apply_overrides(table1_config(),
-                                    ConfigFile::load(entry.path().string())));
+    SystemConfig cfg;
+    EXPECT_NO_THROW(cfg = apply_overrides(
+                        table1_config(),
+                        ConfigFile::load(entry.path().string())));
+    EXPECT_TRUE(cfg.validate().empty());
     ++loaded;
   }
   EXPECT_GT(loaded, 0);
 }
+
+TEST(SystemConfig, PresetConfigsValidate) {
+  EXPECT_TRUE(table1_config().validate().empty());
+  EXPECT_TRUE(hmc_gen1_config().validate().empty());
+}
+
+// One row per bound SystemConfig::validate() enforces: an INI override
+// that a component constructor would assert on, the key the error must
+// name, and a phrase of the rule it must state.
+struct BadValue {
+  const char* ini;
+  const char* key_and_value;
+  const char* rule;
+};
+
+// Names each ctest after its row ("hmc.banks=64") instead of the struct's
+// pointer bytes, which change from run to run.
+void PrintTo(const BadValue& c, std::ostream* os) {
+  for (const char* p = c.key_and_value; *p != ':'; ++p) {
+    if (*p != ' ') *os << *p;
+  }
+}
+
+class ValidateRejects : public ::testing::TestWithParam<BadValue> {};
+
+TEST_P(ValidateRejects, NamesTheKey) {
+  const BadValue& c = GetParam();
+  const SystemConfig cfg =
+      apply_overrides(table1_config(), ConfigFile::parse(c.ini));
+  const std::vector<std::string> errors = cfg.validate();
+  ASSERT_EQ(errors.size(), 1u) << c.ini;
+  EXPECT_EQ(errors[0].rfind(c.key_and_value, 0), 0u) << errors[0];
+  EXPECT_NE(errors[0].find(c.rule), std::string::npos) << errors[0];
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Bounds, ValidateRejects,
+    ::testing::Values(
+        BadValue{"cores = 0", "cores = 0:", "at least 1"},
+        BadValue{"[core]\nissue_width = 0", "core.issue_width = 0:",
+                 "at least 1"},
+        BadValue{"[core]\nmax_outstanding = 0", "core.max_outstanding = 0:",
+                 "at least 1"},
+        BadValue{"[hmc]\nvaults = 24", "hmc.vaults = 24:", "power of two"},
+        BadValue{"[hmc]\nbanks = 64", "hmc.banks = 64:", "no larger than 32"},
+        BadValue{"[hmc]\nbanks = 12", "hmc.banks = 12:", "power of two"},
+        BadValue{"[hmc]\nlinks = 0", "hmc.links = 0:", "at least 1"},
+        BadValue{"[hmc]\nrows_per_bank = 1000", "hmc.rows_per_bank = 1000:",
+                 "power of two"},
+        BadValue{"[buffer]\nentries = 0", "buffer.entries = 0:",
+                 "at least 1"},
+        BadValue{"[camps]\nthreshold = 0", "camps.threshold = 0:",
+                 "at least 1"},
+        BadValue{"[camps]\nconflict_entries = 0",
+                 "camps.conflict_entries = 0:", "at least 1"},
+        BadValue{"[mmd]\nmax_degree = 0", "mmd.max_degree = 0:",
+                 "initial degree"},
+        BadValue{"[fault]\nlink_crc_rate = 1.5", "fault.link_crc_rate = 1.5:",
+                 "[0, 1]"},
+        BadValue{"[fault]\nlink_drop_rate = 2", "fault.link_drop_rate = 2:",
+                 "[0, 1]"},
+        BadValue{"[fault]\nxbar_drop_rate = -0.5",
+                 "fault.xbar_drop_rate = -0.5:", "[0, 1]"},
+        BadValue{"[fault]\nvault_stall_rate = 3",
+                 "fault.vault_stall_rate = 3:", "[0, 1]"},
+        BadValue{"[fault]\nlink_tokens = 2", "fault.link_tokens = 2:",
+                 "largest packet (5 flits)"}));
 
 }  // namespace
 }  // namespace camps::system

@@ -1,6 +1,6 @@
 #include "trace/trace_io.hpp"
 
-
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <gtest/gtest.h>
@@ -87,34 +87,19 @@ TEST_F(TraceIoTest, BadMagicThrows) {
   EXPECT_THROW(read_trace_file(path_), std::runtime_error);
 }
 
-TEST_F(TraceIoTest, TruncatedBodyThrows) {
-  write_trace_file(path_, sample(10));
-  // Chop the last record in half.
-  std::ifstream in(path_, std::ios::binary);
+/// Drops the last `bytes` bytes of the file at `path`.
+void chop(const std::string& path, size_t bytes) {
+  std::ifstream in(path, std::ios::binary);
   std::string data((std::istreambuf_iterator<char>(in)),
                    std::istreambuf_iterator<char>());
   in.close();
-  data.resize(data.size() - 8);
-  std::ofstream(path_, std::ios::binary | std::ios::trunc) << data;
-  EXPECT_THROW(read_trace_file(path_), std::runtime_error);
+  data.resize(data.size() - bytes);
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << data;
 }
 
-TEST_F(TraceIoTest, CorruptPadBytesThrow) {
-  write_trace_file(path_, sample(2));
-  std::fstream f(path_, std::ios::binary | std::ios::in | std::ios::out);
-  // Header is 20 bytes; pad bytes of record 0 are at offset 20+5..20+7.
-  f.seekp(26);
-  f.put(static_cast<char>(0xAB));
-  f.close();
-  EXPECT_THROW(read_trace_file(path_), std::runtime_error);
-}
-
-TEST_F(TraceIoTest, CorruptTypeThrows) {
-  write_trace_file(path_, sample(2));
-  std::fstream f(path_, std::ios::binary | std::ios::in | std::ios::out);
-  f.seekp(24);  // type byte of record 0
-  f.put(7);
-  f.close();
+TEST_F(TraceIoTest, TruncatedBodyThrows) {
+  write_trace_file(path_, sample(10));
+  chop(path_, 1);  // the last record loses its final varint byte
   EXPECT_THROW(read_trace_file(path_), std::runtime_error);
 }
 
@@ -125,6 +110,16 @@ TEST_F(TraceIoTest, UnsupportedVersionThrows) {
   f.put(99);
   f.close();
   EXPECT_THROW(read_trace_file(path_), std::runtime_error);
+}
+
+/// Writes a file with a valid version-`version` header declaring `count`
+/// records, followed by `body` verbatim.
+void write_raw(const std::string& path, u32 version, u64 count,
+               const std::string& body) {
+  std::string data = "CAMPSTRC";
+  for (int i = 0; i < 4; ++i) data += static_cast<char>(version >> (8 * i));
+  for (int i = 0; i < 8; ++i) data += static_cast<char>(count >> (8 * i));
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << data + body;
 }
 
 // --- malformed-input diagnostics -------------------------------------------
@@ -156,29 +151,58 @@ TEST_F(TraceIoTest, ShortHeaderReportedAsTruncatedHeader) {
   EXPECT_NE(msg.find("truncated header"), std::string::npos) << msg;
 }
 
+TEST_F(TraceIoTest, Version1IsRejected) {
+  // The retired fixed-width format: one 16-byte record after the header.
+  write_raw(path_, 1, 1, std::string(16, '\0'));
+  const std::string msg = thrown_message([&] { read_trace_file(path_); });
+  EXPECT_NE(msg.find("unsupported version 1"), std::string::npos) << msg;
+}
+
 TEST_F(TraceIoTest, TruncatedBodyNamesTheFailingRecord) {
   write_trace_file(path_, sample(10));
-  std::ifstream in(path_, std::ios::binary);
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  in.close();
-  data.resize(data.size() - 8);  // chop the last record in half
-  std::ofstream(path_, std::ios::binary | std::ios::trunc) << data;
+  chop(path_, 1);  // the last record loses its final varint byte
   const std::string msg = thrown_message([&] { read_trace_file(path_); });
   EXPECT_NE(msg.find("record 10 of 10"), std::string::npos) << msg;
 }
 
-TEST_F(TraceIoTest, CorruptPadBytesNameTheFailingRecord) {
+TEST_F(TraceIoTest, CorruptFlagsNameTheFailingRecord) {
+  // sample(3) encodes every record in 3 bytes: flags, gap, delta.
   write_trace_file(path_, sample(3));
   std::fstream f(path_, std::ios::binary | std::ios::in | std::ios::out);
-  // 20-byte header + one 16-byte record; record 2's pad bytes start at
-  // offset 20 + 16 + 5.
-  f.seekp(41);
-  f.put(static_cast<char>(0xAB));
+  f.seekp(20 + 3);  // record 2's flags byte
+  f.put(static_cast<char>(0xF0));
   f.close();
   const std::string msg = thrown_message([&] { read_trace_file(path_); });
-  EXPECT_NE(msg.find("pad bytes"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("invalid flags"), std::string::npos) << msg;
   EXPECT_NE(msg.find("record 2 of 3"), std::string::npos) << msg;
+}
+
+TEST_F(TraceIoTest, NegativeDeltaBelowAddressZeroNamesTheRecord) {
+  // Record 1: flags 0x3 (write, negative delta), gap 0, delta 1 line from
+  // address 0. Decoding by wrapping would yield 0xFFFFFFFFFFFFFFC0.
+  write_raw(path_, 2, 1, std::string("\x03\x00\x01", 3));
+  const std::string msg = thrown_message([&] { read_trace_file(path_); });
+  EXPECT_NE(msg.find("leaves the address space"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("record 1 of 1"), std::string::npos) << msg;
+  const std::string src_msg = thrown_message([&] {
+    TraceFileSource src(path_);
+    src.next();
+  });
+  EXPECT_NE(src_msg.find("record 1 of 1"), std::string::npos) << src_msg;
+}
+
+TEST_F(TraceIoTest, DeltaPastTheLastLineNamesTheRecord) {
+  // Record 2 steps one line past line 2^58 - 1 (address 0xFFFFFFFFFFFFFFC0),
+  // which a 64-bit address cannot hold.
+  write_trace_file(path_, {{0, 0xFFFFFFFFFFFFFFC0ull, AccessType::kRead}});
+  std::ifstream in(path_, std::ios::binary);
+  std::string data((std::istreambuf_iterator<char>(in)),
+                   std::istreambuf_iterator<char>());
+  in.close();
+  write_raw(path_, 2, 2, data.substr(20) + std::string("\x00\x00\x01", 3));
+  const std::string msg = thrown_message([&] { read_trace_file(path_); });
+  EXPECT_NE(msg.find("leaves the address space"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("record 2 of 2"), std::string::npos) << msg;
 }
 
 TEST_F(TraceIoTest, TrailingBytesAfterDeclaredCountThrow) {
@@ -190,12 +214,7 @@ TEST_F(TraceIoTest, TrailingBytesAfterDeclaredCountThrow) {
 
 TEST_F(TraceIoTest, StreamingSourceNamesTheFailingRecord) {
   write_trace_file(path_, sample(4));
-  std::ifstream in(path_, std::ios::binary);
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  in.close();
-  data.resize(data.size() - 20);  // lose the last record and part of #3
-  std::ofstream(path_, std::ios::binary | std::ios::trunc) << data;
+  chop(path_, 4);  // lose the last record and part of #3
   TraceFileSource src(path_);
   EXPECT_TRUE(src.next().has_value());
   EXPECT_TRUE(src.next().has_value());
@@ -203,17 +222,23 @@ TEST_F(TraceIoTest, StreamingSourceNamesTheFailingRecord) {
   EXPECT_NE(msg.find("record 3 of 4"), std::string::npos) << msg;
 }
 
-// --- version 2 (compact varint-delta) --------------------------------------
+// --- varint-delta encoding -------------------------------------------------
 
 TEST_F(TraceIoTest, V2RoundTripSmall) {
-  const auto records = sample(10);
-  write_trace_file_v2(path_, records);
+  // Descending addresses: every delta after the first is negative.
+  auto records = sample(10);
+  std::reverse(records.begin(), records.end());
+  write_trace_file(path_, records);
   EXPECT_EQ(read_trace_file(path_), records);
 }
 
 TEST_F(TraceIoTest, V2RoundTripEmpty) {
-  write_trace_file_v2(path_, {});
-  EXPECT_TRUE(read_trace_file(path_).empty());
+  write_trace_file(path_, {});
+  std::ifstream in(path_, std::ios::binary | std::ios::ate);
+  EXPECT_EQ(in.tellg(), 20) << "an empty trace is the bare header";
+  TraceFileSource src(path_);
+  EXPECT_EQ(src.record_count(), 0u);
+  EXPECT_FALSE(src.next().has_value());
 }
 
 TEST_F(TraceIoTest, V2RoundTripLargeMixedDirections) {
@@ -228,13 +253,13 @@ TEST_F(TraceIoTest, V2RoundTripLargeMixedDirections) {
     records.push_back({static_cast<u32>(x % 17), addr,
                        (x & 1) ? AccessType::kWrite : AccessType::kRead});
   }
-  write_trace_file_v2(path_, records);
+  write_trace_file(path_, records);
   EXPECT_EQ(read_trace_file(path_), records);
 }
 
 TEST_F(TraceIoTest, V2StreamingSourceMatches) {
   const auto records = sample(500);
-  write_trace_file_v2(path_, records);
+  write_trace_file(path_, records);
   TraceFileSource src(path_);
   EXPECT_EQ(src.record_count(), records.size());
   for (const auto& want : records) {
@@ -255,22 +280,22 @@ TEST_F(TraceIoTest, V2CompressesSequentialTraces) {
     records.push_back({2, 0x1000 + 64 * i, AccessType::kRead});
   }
   write_trace_file(path_, records);
-  std::ifstream v1(path_, std::ios::binary | std::ios::ate);
-  const auto v1_size = v1.tellg();
-  write_trace_file_v2(path_, records);
-  std::ifstream v2(path_, std::ios::binary | std::ios::ate);
-  const auto v2_size = v2.tellg();
-  EXPECT_LT(v2_size * 4, v1_size) << "sequential traces must compress >= 4x";
+  std::ifstream in(path_, std::ios::binary | std::ios::ate);
+  const auto size = static_cast<size_t>(in.tellg());
+  // Against the retired fixed-width layout (16 B per record).
+  const size_t fixed_width_size = 20 + 16 * records.size();
+  EXPECT_LT(size * 4, fixed_width_size)
+      << "sequential traces must compress >= 4x";
 }
 
 TEST_F(TraceIoTest, V2RejectsUnalignedAddresses) {
   EXPECT_THROW(
-      write_trace_file_v2(path_, {{0, 0x1001, AccessType::kRead}}),
+      write_trace_file(path_, {{0, 0x1001, AccessType::kRead}}),
       std::runtime_error);
 }
 
 TEST_F(TraceIoTest, V2TruncatedBodyThrows) {
-  write_trace_file_v2(path_, sample(100));
+  write_trace_file(path_, sample(100));
   std::ifstream in(path_, std::ios::binary);
   std::string data((std::istreambuf_iterator<char>(in)),
                    std::istreambuf_iterator<char>());
@@ -281,7 +306,7 @@ TEST_F(TraceIoTest, V2TruncatedBodyThrows) {
 }
 
 TEST_F(TraceIoTest, V2CorruptFlagsThrow) {
-  write_trace_file_v2(path_, sample(2));
+  write_trace_file(path_, sample(2));
   std::fstream f(path_, std::ios::binary | std::ios::in | std::ios::out);
   f.seekp(20);  // first record's flags byte (after the 20-byte header)
   f.put(static_cast<char>(0xF0));

@@ -198,6 +198,16 @@ int main(int argc, char** argv) {
     }
     cfg.obs.epoch_ticks = epoch_ticks;
 
+    // Values a component constructor would assert on fail here instead,
+    // as a usage error naming the config key.
+    const std::vector<std::string> errors = cfg.validate();
+    if (!errors.empty()) {
+      for (const auto& e : errors) {
+        std::fprintf(stderr, "%s: %s\n", argv[0], e.c_str());
+      }
+      return 2;
+    }
+
     std::printf("camps_sim: workload %s, scheme %s, %llu+%llu instr/core, "
                 "seed %llu\n\n",
                 workload.c_str(), prefetch::to_string(cfg.scheme),

@@ -18,6 +18,11 @@ stats-name    String literals registered with StatRegistry::counter() /
 iwyu-lite     A file that names a common std:: type directly includes the
               header that defines it (small fixed mapping; transitive
               includes are deliberately not honored).
+audit-catalog Every invariant name src/ passes to AuditReporter::expect()
+              (its second argument, a string literal) appears in the
+              invariant catalog table of docs/static_analysis.md, and every
+              name in that table is still checked somewhere in src/.
+              Runs when no explicit file list is given.
 
 Waivers: append `// camps-lint: allow(<rule>)` to the offending line.
 
@@ -63,6 +68,11 @@ IWYU_MAP = {
         r"\bstd::(unique_ptr\s*<|shared_ptr\s*<|make_unique|make_shared)"),
     "<functional>": re.compile(r"\bstd::function\s*<"),
 }
+
+EXPECT_CALL = re.compile(r"\.expect\s*\(")
+CATALOG_DOC = Path("docs/static_analysis.md")
+CATALOG_HEADING = "## The invariant catalog"
+BACKTICKED = re.compile(r"`([a-z0-9-]+)`")
 
 WAIVER = re.compile(r"//\s*camps-lint:\s*allow\(([a-z0-9_,\- ]+)\)")
 LINE_COMMENT = re.compile(r"//.*$")
@@ -141,6 +151,79 @@ def check_file(root, path, findings):
                 break  # one report per missing header per file
 
 
+def call_arguments(text, open_paren):
+    """Splits the argument list of the call whose '(' is at `open_paren` on
+    its top-level commas, skipping string literals and nested brackets."""
+    args, depth, start, i = [], 0, open_paren + 1, open_paren + 1
+    while i < len(text):
+        c = text[i]
+        if c == '"':
+            i += 1
+            while text[i] != '"':
+                i += 2 if text[i] == "\\" else 1
+        elif c in "([{":
+            depth += 1
+        elif c in ")]}":
+            if depth == 0:
+                args.append(text[start:i].strip())
+                return args
+            depth -= 1
+        elif c == "," and depth == 0:
+            args.append(text[start:i].strip())
+            start = i + 1
+        i += 1
+    return args
+
+
+def audited_invariants(root, findings):
+    """Invariant name -> first (file, line) that checks it, from src/."""
+    names = {}
+    for path in sorted((root / "src").rglob("*.[ch]pp")):
+        rel = path.relative_to(root)
+        text = path.read_text(encoding="utf-8")
+        for m in EXPECT_CALL.finditer(text):
+            line = text.count("\n", 0, m.start()) + 1
+            args = call_arguments(text, m.end() - 1)
+            if len(args) < 2:
+                continue  # not an AuditReporter::expect() call
+            literal = re.fullmatch(r'"([^"\\]*)"', args[1])
+            if literal is None:
+                findings.append(Finding(
+                    rel, line, "audit-catalog",
+                    "invariant name is not a string literal, so the "
+                    "catalog cannot be checked"))
+                continue
+            names.setdefault(literal.group(1), (rel, line))
+    return names
+
+
+def catalog_invariants(root):
+    """Backticked names in the invariant catalog table's second column."""
+    text = (root / CATALOG_DOC).read_text(encoding="utf-8")
+    section = text.split(CATALOG_HEADING, 1)[1].split("\n## ", 1)[0]
+    names = set()
+    for row in section.splitlines():
+        cells = row.split("|")
+        if row.startswith("|") and len(cells) > 3:
+            names.update(BACKTICKED.findall(cells[2]))
+    return names
+
+
+def check_audit_catalog(root, findings):
+    checked = audited_invariants(root, findings)
+    documented = catalog_invariants(root)
+    for name, (rel, line) in sorted(checked.items()):
+        if name not in documented:
+            findings.append(Finding(
+                rel, line, "audit-catalog",
+                f'invariant "{name}" is missing from the catalog in '
+                f"{CATALOG_DOC}"))
+    for name in sorted(documented - checked.keys()):
+        findings.append(Finding(
+            CATALOG_DOC, 0, "audit-catalog",
+            f'catalog lists "{name}", which no audit in src/ checks'))
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", default=".",
@@ -166,6 +249,8 @@ def main():
     findings = []
     for path in files:
         check_file(root, path, findings)
+    if not args.paths:
+        check_audit_catalog(root, findings)
 
     for finding in findings:
         print(finding)
