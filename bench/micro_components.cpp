@@ -42,7 +42,7 @@ BENCHMARK(BM_AddressDecode);
 
 void BM_PrefetchBufferAccess(benchmark::State& state) {
   prefetch::PrefetchBuffer buf(prefetch::PrefetchBufferConfig{},
-                               prefetch::make_lru());
+                               prefetch::Replacement::kLru);
   for (u64 r = 0; r < 16; ++r) buf.insert(BankRow{0, r});
   u64 x = 1;
   for (auto _ : state) {
@@ -59,8 +59,8 @@ void BM_PrefetchBufferInsertEvict(benchmark::State& state) {
   const bool util_recency = state.range(0) != 0;
   prefetch::PrefetchBuffer buf(
       prefetch::PrefetchBufferConfig{},
-      util_recency ? prefetch::make_utilization_recency()
-                   : prefetch::make_lru());
+      util_recency ? prefetch::Replacement::kUtilizationRecency
+                   : prefetch::Replacement::kLru);
   u64 r = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(buf.insert(BankRow{0, r++}));

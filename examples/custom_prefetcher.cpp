@@ -68,11 +68,12 @@ int main(int argc, char** argv) {
   // custom schemes today is to register them in prefetch::make_scheme;
   // here we demonstrate the interface contract itself on a vault harness.
   sim::Simulator sim;
-  hmc::VaultConfig vcfg;
+  const u32 banks = hmc::HmcGeometry{}.banks_per_vault;
   u64 responses = 0;
   hmc::VaultController vault(
-      sim, 0, vcfg, std::make_unique<EagerCopyScheme>(vcfg.banks), nullptr,
-      nullptr, [&](const hmc::MemRequest&, Tick) { ++responses; });
+      sim, 0, banks, hmc::VaultConfig{},
+      std::make_unique<EagerCopyScheme>(banks), nullptr, nullptr,
+      [&](const hmc::MemRequest&, Tick) { ++responses; });
 
   // Drive the vault with a synthetic stream: 8 sequential lines per row.
   u64 id = 1;
@@ -82,7 +83,7 @@ int main(int argc, char** argv) {
     req.type = AccessType::kRead;
     hmc::DecodedAddr d;
     d.vault = 0;
-    d.bank = static_cast<BankId>((i / 8) % 16);
+    d.bank = static_cast<BankId>((i / 8) % banks);
     d.row = (i / 128) % 64;
     d.column = static_cast<LineId>(i % 8);
     const Tick when = i * 2 * sim::kDramTicksPerCycle;

@@ -2,7 +2,7 @@
 //
 // Every stateful model component implements Auditable: audit() re-derives
 // the component's structural invariants from scratch — heap shape, LRU
-// order, recency permutations, FSM bookkeeping — and reports anything that
+// order, unique buffered rows, FSM bookkeeping — and reports anything that
 // does not hold to an AuditReporter. Audits never mutate model state, so
 // they can run at any event boundary; the driver (System, camps_sim
 // --audit-every=N, bench --audit) runs them periodically and routes

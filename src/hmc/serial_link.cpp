@@ -39,8 +39,8 @@ void LinkDirection::reap(Tick now) {
   }
 }
 
-LinkDirection::Transfer LinkDirection::submit_ex(Tick now, u32 flits,
-                                                 u64 trace_id) {
+LinkDirection::Transfer LinkDirection::submit(Tick now, u32 flits,
+                                              u64 trace_id) {
   CAMPS_ASSERT(flits > 0);
   reap(now);
   Tick start = std::max(now, busy_until_);

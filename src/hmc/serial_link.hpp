@@ -80,16 +80,10 @@ class LinkDirection {
     bool dropped = false;
   };
 
-  /// Accepts a packet at `now`; returns its delivery tick at the far end.
-  /// Packets serialize in submission order (FIFO). `trace_id` tags the
-  /// serialization span when tracing is armed.
-  Tick submit(Tick now, u32 flits, u64 trace_id = 0) {
-    return submit_ex(now, flits, trace_id).deliver;
-  }
-
-  /// submit() variant exposing when serialization actually started, for
-  /// host-queue-wait accounting.
-  Transfer submit_ex(Tick now, u32 flits, u64 trace_id = 0);
+  /// Accepts a packet at `now`; returns when it started serializing and
+  /// when the far end receives it. Packets serialize in submission order
+  /// (FIFO). `trace_id` tags the serialization span when tracing is armed.
+  Transfer submit(Tick now, u32 flits, u64 trace_id = 0);
 
   /// Arms span recording for this direction (stage kLinkDown or kLinkUp,
   /// lane = link index).

@@ -14,7 +14,7 @@ using dram::RowBufferOutcome;
 using energy::EnergyEvent;
 
 VaultController::VaultController(
-    sim::Simulator& sim, VaultId id, const VaultConfig& config,
+    sim::Simulator& sim, VaultId id, u32 banks, const VaultConfig& config,
     std::unique_ptr<prefetch::PrefetchScheme> scheme,
     energy::EnergyModel* energy, StatRegistry* stats, RespondFn respond,
     obs::TraceRecorder* trace)
@@ -22,19 +22,19 @@ VaultController::VaultController(
       id_(id),
       cfg_(config),
       banks_(),
-      buffer_(config.buffer, scheme->make_replacement()),
+      buffer_(config.buffer, scheme->replacement()),
       scheme_(std::move(scheme)),
       refresh_(cfg_.timing, cfg_.refresh_enabled),
       energy_(energy),
       respond_(std::move(respond)),
       trace_(trace) {
-  CAMPS_ASSERT(cfg_.banks > 0 && cfg_.banks <= 32);  // scheduler bank bitmask
+  CAMPS_ASSERT(banks > 0 && banks <= 32);  // scheduler bank bitmask
   CAMPS_ASSERT(cfg_.read_queue > 0 && cfg_.write_queue > 0);
   CAMPS_ASSERT(cfg_.write_drain_low < cfg_.write_drain_high);
   CAMPS_ASSERT(cfg_.write_drain_high <= cfg_.write_queue);
-  banks_.reserve(cfg_.banks);
-  for (u32 b = 0; b < cfg_.banks; ++b) banks_.emplace_back(cfg_.timing);
-  open_row_refs_.resize(cfg_.banks);
+  banks_.reserve(banks);
+  for (u32 b = 0; b < banks; ++b) banks_.emplace_back(cfg_.timing);
+  open_row_refs_.resize(banks);
   buffer_hit_ticks_ = cfg_.buffer.hit_latency * sim::kCpuTicksPerCycle;
   if (stats != nullptr) {
     const std::string prefix = "vault" + std::to_string(id_) + ".";
@@ -57,8 +57,8 @@ VaultController::VaultController(
                                           /*bucket_width=*/2,
                                           /*num_buckets=*/32);
   }
-  for (u32 b = 0; b < cfg_.banks; ++b) {
-    banks_[b].attach_trace(trace_, id_ * cfg_.banks + b);
+  for (u32 b = 0; b < banks; ++b) {
+    banks_[b].attach_trace(trace_, id_ * banks + b);
   }
   buffer_.attach_trace(trace_, id_, sim::kDramTicksPerCycle);
 }
@@ -332,7 +332,6 @@ void VaultController::serve_via_fetch(const QueueEntry& entry, u64 cycle,
                                       bool precharge_after) {
   dram::Bank& bank = banks_[entry.bank];
   const u64 done = bank.fetch_row(cycle, entry.req.id);
-  if (cfg_.row_fetch_uses_bus) bus_free_cycle_ = done;
   if (energy_ != nullptr) energy_->add(EnergyEvent::kRowFetch);
 
   const BankId b = entry.bank;
@@ -340,8 +339,7 @@ void VaultController::serve_via_fetch(const QueueEntry& entry, u64 cycle,
   const LineId line = entry.column;
   const AccessType type = entry.req.type;
   note_row_reference(b, row, line);
-  const u64 seed =
-      cfg_.seed_buffer_utilization ? row_reference_bitmap(b, row) : 0;
+  const u64 seed = row_reference_bitmap(b, row);
   sim_.schedule_at(tick_of(done), [this, b, row, line, type, seed, cycle] {
     complete_fetch(b, row, seed, cycle);
     // The demanded line is consumed out of the freshly landed row; it was
@@ -481,7 +479,7 @@ bool VaultController::advance_demand_bank(u64 cycle) {
   if (queue.empty()) return false;
   // Advance the oldest request of each bank (younger requests to the same
   // bank must not interleave PRE/ACT with it); issue at most one command.
-  u32 banks_seen = 0;  // bitmask; cfg_.banks <= 32 in any sane config
+  u32 banks_seen = 0;  // bitmask; the constructor caps banks at 32
   for (auto& entry : queue) {
     const u32 bank_bit = 1u << entry.bank;
     if (banks_seen & bank_bit) continue;
@@ -589,15 +587,12 @@ bool VaultController::issue_prefetch(u64 cycle) {
       case dram::BankState::kActive: {
         if (bank.open_row(cycle) == std::make_optional(action.row)) {
           const u64 start = bank.earliest_column(cycle);
-          if (start == cycle &&
-              (!cfg_.row_fetch_uses_bus || bus_free_cycle_ <= cycle)) {
+          if (start == cycle) {
             const u64 done = bank.fetch_row(cycle);
-            if (cfg_.row_fetch_uses_bus) bus_free_cycle_ = done;
             if (energy_ != nullptr) energy_->add(EnergyEvent::kRowFetch);
             const BankId b = action.bank;
             const RowId r = action.row;
-            const u64 seed =
-                cfg_.seed_buffer_utilization ? row_reference_bitmap(b, r) : 0;
+            const u64 seed = row_reference_bitmap(b, r);
             sim_.schedule_at(tick_of(done), [this, b, r, seed, cycle] {
               complete_fetch(b, r, seed, cycle);
             });

@@ -42,7 +42,6 @@ enum class PagePolicy : u8 {
 struct VaultConfig {
   dram::TimingParams timing = dram::default_timing();
   PagePolicy page_policy = PagePolicy::kOpen;
-  u32 banks = 16;
   u32 read_queue = 32;
   u32 write_queue = 32;
   /// Write-drain hysteresis: start draining at >= high, stop at <= low.
@@ -50,15 +49,6 @@ struct VaultConfig {
   u32 write_drain_low = 8;
   prefetch::PrefetchBufferConfig buffer;  ///< hit_latency is in CPU cycles.
   bool refresh_enabled = true;
-  /// Seed a fetched row's utilization bitmap with the lines already served
-  /// while it sat in the DRAM row buffer, so Section 3.2's full-utilization
-  /// test sees the row's whole life. Ablatable.
-  bool seed_buffer_utilization = true;
-  /// When true, a row copy occupies the vault's demand data bus for its
-  /// whole duration. The paper's premise (Section 2.4) is that copies ride
-  /// the wide internal TSVs instead, so the default is false — the copy
-  /// only occupies the *bank*. Enable for the bandwidth-coupling ablation.
-  bool row_fetch_uses_bus = false;
 };
 
 class VaultController final {
@@ -67,7 +57,9 @@ class VaultController final {
   /// adds crossbar + link delays on top of `ready`).
   using RespondFn = std::function<void(const MemRequest&, Tick ready)>;
 
-  VaultController(sim::Simulator& sim, VaultId id, const VaultConfig& config,
+  /// `banks` is the vault's bank count (HmcGeometry::banks_per_vault).
+  VaultController(sim::Simulator& sim, VaultId id, u32 banks,
+                  const VaultConfig& config,
                   std::unique_ptr<prefetch::PrefetchScheme> scheme,
                   energy::EnergyModel* energy, StatRegistry* stats,
                   RespondFn respond, obs::TraceRecorder* trace = nullptr);

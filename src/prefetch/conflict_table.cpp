@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -11,6 +10,7 @@ namespace camps::prefetch {
 
 ConflictTable::ConflictTable(u32 entries) : capacity_(entries) {
   CAMPS_ASSERT(entries > 0);
+  lru_.reserve(capacity_);
 }
 
 bool ConflictTable::contains(BankRow id) const {
@@ -20,8 +20,7 @@ bool ConflictTable::contains(BankRow id) const {
 std::optional<BankRow> ConflictTable::insert(BankRow id) {
   const auto it = std::find(lru_.begin(), lru_.end(), id);
   if (it != lru_.end()) {
-    lru_.erase(it);
-    lru_.push_front(id);
+    std::rotate(lru_.begin(), it, it + 1);
     return std::nullopt;
   }
   std::optional<BankRow> evicted;
@@ -29,7 +28,7 @@ std::optional<BankRow> ConflictTable::insert(BankRow id) {
     evicted = lru_.back();
     lru_.pop_back();
   }
-  lru_.push_front(id);
+  lru_.insert(lru_.begin(), id);
   return evicted;
 }
 
@@ -38,10 +37,6 @@ bool ConflictTable::remove(BankRow id) {
   if (it == lru_.end()) return false;
   lru_.erase(it);
   return true;
-}
-
-std::vector<BankRow> ConflictTable::snapshot() const {
-  return {lru_.begin(), lru_.end()};
 }
 
 }  // namespace camps::prefetch

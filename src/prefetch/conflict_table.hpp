@@ -6,7 +6,6 @@
 // and becomes a prefetch candidate.
 #pragma once
 
-#include <list>
 #include <optional>
 #include <vector>
 
@@ -30,11 +29,14 @@ class ConflictTable final {
   /// Returns true when something was removed.
   bool remove(BankRow id);
 
+  /// Drops every entry (the vault's fault-degradation flush).
+  void clear() { lru_.clear(); }
+
   u32 size() const { return static_cast<u32>(lru_.size()); }
   u32 capacity() const { return capacity_; }
 
-  /// LRU-ordered snapshot, MRU first (for tests/inspection).
-  std::vector<BankRow> snapshot() const;
+  /// Entries in LRU order, MRU first.
+  const std::vector<BankRow>& entries() const { return lru_; }
 
   /// Hardware footprint in bits (paper: 32 entries x 20 bits per vault).
   u64 overhead_bits() const { return u64{capacity_} * 20; }
@@ -47,7 +49,7 @@ class ConflictTable final {
   friend struct check::TestCorruptor;
 
   u32 capacity_;
-  std::list<BankRow> lru_;  ///< Front = MRU. 32 entries: linear scan is fine.
+  std::vector<BankRow> lru_;  ///< Front = MRU. 32 entries: scanning is fine.
 };
 
 static_assert(check::Auditable<ConflictTable>);

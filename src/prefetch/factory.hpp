@@ -38,8 +38,10 @@ struct SchemeParams {
   u32 base_hit_min_hits = 2;
 };
 
-/// Builds a fresh scheme instance (call once per vault).
-std::unique_ptr<PrefetchScheme> make_scheme(SchemeKind kind,
+/// Builds a fresh scheme instance (call once per vault). `banks` is the
+/// vault's bank count (HmcGeometry::banks_per_vault); per-bank tables are
+/// sized by it.
+std::unique_ptr<PrefetchScheme> make_scheme(SchemeKind kind, u32 banks,
                                             const SchemeParams& params = {});
 
 }  // namespace camps::prefetch

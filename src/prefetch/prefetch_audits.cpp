@@ -4,10 +4,8 @@
 // every N-hundred-thousand events, or never — does not dilute their .text.
 
 #include <algorithm>
-#include <bit>
-#include <set>
+#include <iterator>
 #include <string>
-#include <vector>
 
 #include "check/audit.hpp"
 #include "prefetch/conflict_table.hpp"
@@ -50,107 +48,46 @@ void prefetch::RowUtilizationTable::audit(check::AuditReporter& rep) const {
 void prefetch::PrefetchBuffer::audit(check::AuditReporter& rep) const {
   const check::AuditScope scope(rep, "prefetch_buffer");
 
-  // Recency stack: a permutation of exactly the valid slots. Combined with
-  // recency_of_position() this is Section 3.2's requirement that resident
-  // rows carry distinct recency values with MRU = entries-1.
-  rep.expect(mru_order_.size() <= cfg_.entries, "recency-overflow",
-             "recency stack holds " + std::to_string(mru_order_.size()) +
-                 " slots but the buffer has " + std::to_string(cfg_.entries));
-  std::vector<bool> seen(slots_.size(), false);
-  for (const u32 slot : mru_order_) {
-    if (!rep.expect(slot < slots_.size(), "recency-range",
-                    "recency stack references slot " + std::to_string(slot) +
-                        " outside the buffer's " +
-                        std::to_string(slots_.size()) + " slots")) {
-      continue;
-    }
-    rep.expect(!seen[slot], "recency-permutation",
-               "slot " + std::to_string(slot) +
-                   " appears twice in the recency stack");
-    seen[slot] = true;
-    rep.expect(slots_[slot].valid, "recency-permutation",
-               "recency stack lists slot " + std::to_string(slot) +
-                   " but that slot is invalid");
-  }
-  u32 valid_slots = 0;
-  for (const auto& e : slots_) valid_slots += e.valid ? 1 : 0;
-  rep.expect(valid_slots == mru_order_.size(), "recency-permutation",
-             std::to_string(valid_slots) + " resident rows but " +
-                 std::to_string(mru_order_.size()) +
-                 " recency-stack positions");
-
-  // Per-entry bookkeeping.
+  // Resident rows sit in recency order, so their recency values
+  // (entries-1-position) are distinct as long as the vector fits the
+  // buffer and holds each row once — Section 3.2's encoding.
+  rep.expect(rows_.size() <= cfg_.entries, "buffer-capacity",
+             std::to_string(rows_.size()) + " rows exceed the buffer's " +
+                 std::to_string(cfg_.entries) + " entries");
   const u64 line_mask = cfg_.lines_per_row >= 64
                             ? ~u64{0}
                             : (u64{1} << cfg_.lines_per_row) - 1;
-  for (u32 slot = 0; slot < slots_.size(); ++slot) {
-    const Entry& e = slots_[slot];
-    if (!e.valid) continue;
-    const std::string who = "slot " + std::to_string(slot) + " (bank " +
-                            std::to_string(e.id.bank) + ", row " +
-                            std::to_string(e.id.row) + ")";
-    rep.expect(e.utilization ==
-                   static_cast<u32>(std::popcount(e.accessed_bitmap)),
-               "utilization-popcount",
-               who + ": cached utilization " +
-                   std::to_string(e.utilization) +
-                   " != popcount of accessed bitmap");
-    rep.expect(e.utilization <= cfg_.lines_per_row, "utilization-bound",
-               who + ": utilization " + std::to_string(e.utilization) +
-                   " exceeds " + std::to_string(cfg_.lines_per_row) +
-                   " lines per row");
-    rep.expect((e.accessed_bitmap & ~line_mask) == 0 &&
-                   (e.seed_bitmap & ~line_mask) == 0,
+  for (auto it = rows_.begin(); it != rows_.end(); ++it) {
+    const std::string who = "position " +
+                            std::to_string(it - rows_.begin()) + " (bank " +
+                            std::to_string(it->id.bank) + ", row " +
+                            std::to_string(it->id.row) + ")";
+    rep.expect((it->accessed_bitmap & ~line_mask) == 0 &&
+                   (it->seed_bitmap & ~line_mask) == 0,
                "bitmap-range",
                who + ": reference bitmap marks lines past the row's " +
                    std::to_string(cfg_.lines_per_row) + " lines");
-    rep.expect(e.useful_refs >= e.utilization, "useful-refs",
-               who + ": " + std::to_string(e.useful_refs) +
-                   " useful references cannot cover " +
-                   std::to_string(e.utilization) + " distinct lines");
     // Duplicate residency would let one demand hit two copies.
-    for (u32 other = slot + 1; other < slots_.size(); ++other) {
-      rep.expect(!slots_[other].valid || !(slots_[other].id == e.id),
-                 "duplicate-row",
-                 who + ": also resident in slot " + std::to_string(other));
-    }
+    const auto dup = std::find_if(
+        std::next(it), rows_.end(),
+        [&](const Entry& other) { return other.id == it->id; });
+    rep.expect(dup == rows_.end(), "duplicate-row",
+               who + ": also resident at position " +
+                   std::to_string(dup - rows_.begin()));
   }
 
-  // Victim-selection precondition: insert() on a full buffer consults the
-  // policy, which requires a populated candidate list.
-  rep.expect(policy_ != nullptr, "policy-missing",
-             "no replacement policy attached");
-
-  // Eviction statistics cross-foot with the histograms.
-  rep.expect(evict_util_hist_.size() == cfg_.lines_per_row + 1 &&
-                 evict_unused_hist_.size() == cfg_.lines_per_row + 1,
-             "histogram-shape", "eviction histograms not sized lines+1");
-  u64 util_sum = 0, unused_sum = 0;
-  for (const u64 v : evict_util_hist_) util_sum += v;
-  for (const u64 v : evict_unused_hist_) unused_sum += v;
-  rep.expect(util_sum == evictions_, "eviction-crossfoot",
-             "utilization histogram total " + std::to_string(util_sum) +
-                 " != evictions " + std::to_string(evictions_));
-  rep.expect(unused_sum == evicted_unreferenced_, "eviction-crossfoot",
-             "unused histogram total " + std::to_string(unused_sum) +
-                 " != unreferenced evictions " +
-                 std::to_string(evicted_unreferenced_));
-  rep.expect(evicted_unreferenced_ <= evictions_ &&
-                 finished_referenced_ <= finished_rows_,
-             "eviction-crossfoot",
+  rep.expect(finished_referenced_ <= finished_rows_, "eviction-crossfoot",
              "subset counters exceed their totals");
 }
 
 void prefetch::CampsScheme::audit(check::AuditReporter& rep) const {
-  const check::AuditScope scope(rep, name() == "CAMPS-MOD" ? "camps_mod"
-                                                           : "camps");
+  const check::AuditScope scope(
+      rep, replacement_ == Replacement::kUtilizationRecency ? "camps_mod"
+                                                            : "camps");
   rut_.audit(rep);
   ct_.audit(rep);
 
-  // Configured shapes survive (Table I: 16 RUT entries, 32 CT entries).
-  rep.expect(rut_.banks() == p_.banks, "rut-shape",
-             "RUT tracks " + std::to_string(rut_.banks()) +
-                 " banks, configured for " + std::to_string(p_.banks));
+  // The CT keeps its configured shape (Table I: 32 entries).
   rep.expect(ct_.capacity() == p_.conflict_entries, "ct-shape",
              "CT capacity " + std::to_string(ct_.capacity()) +
                  " != configured " + std::to_string(p_.conflict_entries));

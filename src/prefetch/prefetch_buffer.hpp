@@ -2,17 +2,20 @@
 // lines = whole DRAM rows, 22-cycle hit latency).
 //
 // Rows are inserted whole by the prefetch engine and looked up per demand
-// request. The buffer tracks, per resident row:
-//   - a distinct-line reference bitmap (utilization = popcount),
-//   - the paper's recency encoding (MRU = entries-1 ... LRU = 0),
+// request. Resident rows live in one vector kept in recency order, MRU
+// first, so a row's place *is* the paper's recency encoding: the row at
+// position p reads entries-1-p (MRU = entries-1 ... LRU = 0 when full).
+// A hit rotates the row to the front; an eviction erases it. Per row the
+// buffer keeps:
+//   - a distinct-line reference bitmap (utilization = popcount; the row
+//     proved useful once any bit is set),
 //   - a dirty flag (writes hit buffered rows; dirty victims are written
 //     back to the bank, costing energy).
-// Victim selection is delegated to a ReplacementPolicy so CAMPS (LRU) and
+// Victim selection follows a Replacement policy so CAMPS (LRU) and
 // CAMPS-MOD (utilization+recency) share this implementation.
 #pragma once
 
 #include <bit>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -44,8 +47,7 @@ struct InsertResult {
 
 class PrefetchBuffer final {
  public:
-  PrefetchBuffer(const PrefetchBufferConfig& config,
-                 std::unique_ptr<ReplacementPolicy> policy);
+  PrefetchBuffer(const PrefetchBufferConfig& config, Replacement policy);
 
   /// Arms span recording: inserts and evictions become instant events on
   /// the vault's trace lane. `ticks_per_stamp` converts the controller's
@@ -61,14 +63,14 @@ class PrefetchBuffer final {
   /// filter redundant prefetches).
   bool contains(BankRow row) const;
 
-  /// Serves a demand access. On hit: marks `line` referenced, bumps
-  /// utilization for a newly-referenced line, moves the row to MRU, sets
-  /// dirty on writes. Returns whether it hit.
+  /// Serves a demand access. On hit: marks `line` referenced, moves the row
+  /// to MRU, sets dirty on writes. Returns whether it hit.
   ///
   /// `fill_touch = true` marks the line that *triggered* the row fetch
-  /// (BASE's serve-through-copy path): it updates the bitmap/utilization
-  /// used for replacement but does not make the prefetch "useful" — only
-  /// lines the prefetch genuinely anticipated count toward accuracy.
+  /// (BASE's serve-through-copy path): it counts toward the row's
+  /// full-transfer test but not its utilization, and does not make the
+  /// prefetch "useful" — only lines the prefetch genuinely anticipated
+  /// count toward accuracy.
   bool access(BankRow row, LineId line, AccessType type,
               bool fill_touch = false);
 
@@ -91,9 +93,6 @@ class PrefetchBuffer final {
   /// Insert stamp of a resident row; nullopt when absent.
   std::optional<u64> insert_stamp(BankRow row) const;
 
-  /// Drops a resident row without statistics (used by tests/invalidation).
-  bool evict(BankRow row);
-
   /// Evicts every resident row (MRU first), with full eviction accounting,
   /// and returns the victims so the caller can run the usual usefulness /
   /// writeback notifications. Used by the vault's fault-degradation path.
@@ -103,21 +102,12 @@ class PrefetchBuffer final {
   /// residency with contains() and only calls access() on hits).
   void count_miss() { ++misses_; }
 
-  /// Eviction histograms by utilization at eviction time (diagnostics and
-  /// the ablation benches): index = distinct lines referenced.
-  const std::vector<u64>& evictions_by_utilization() const {
-    return evict_util_hist_;
-  }
-  const std::vector<u64>& unused_evictions_by_utilization() const {
-    return evict_unused_hist_;
-  }
-
-  u32 size() const { return static_cast<u32>(mru_order_.size()); }
+  u32 size() const { return static_cast<u32>(rows_.size()); }
   u32 capacity() const { return cfg_.entries; }
   const PrefetchBufferConfig& config() const { return cfg_; }
 
-  /// Paper recency value of a resident row (MRU = entries-1); nullopt when
-  /// absent. Exposed for tests and the replacement policy.
+  /// Paper recency value (MRU = entries-1) and utilization of a resident
+  /// row; nullopt when absent. Exposed for tests.
   std::optional<u32> recency(BankRow row) const;
   std::optional<u32> utilization(BankRow row) const;
 
@@ -125,9 +115,6 @@ class PrefetchBuffer final {
   u64 hits() const { return hits_; }
   u64 misses() const { return misses_; }
   u64 inserts() const { return inserts_; }
-  u64 evictions() const { return evictions_; }
-  u64 evicted_unreferenced() const { return evicted_unreferenced_; }
-  u64 dirty_writebacks() const { return dirty_writebacks_; }
   /// Rows that were referenced at least once, over all rows that have left
   /// the buffer plus those resident and referenced — the paper's
   /// "prefetching accuracy" numerator grows as prefetches prove useful.
@@ -137,11 +124,9 @@ class PrefetchBuffer final {
   /// measurement boundary.
   void reset_stats();
 
-  /// Invariants: the recency stack is a permutation of the resident slots
-  /// (Section 3.2's MRU = entries-1 ... LRU = 0 encoding), every entry's
-  /// cached utilization matches its bitmap popcount and stays <= lines per
-  /// row, bitmaps stay confined to the row's lines, and the eviction
-  /// statistics cross-foot.
+  /// Invariants: no more rows than entries, each row resident once (so
+  /// recencies stay distinct), bitmaps confined to the row's lines, and
+  /// the usefulness counters cross-foot.
   void audit(check::AuditReporter& reporter) const;
 
  private:
@@ -153,39 +138,35 @@ class PrefetchBuffer final {
     /// fill-touch line). Counts toward "all data transferred" only.
     u64 seed_bitmap = 0;
     /// Lines demanded from this buffer entry — Section 3.2's utilization
-    /// counter is the popcount of this.
+    /// counter is the popcount of this, and any set bit makes the
+    /// prefetch useful.
     u64 accessed_bitmap = 0;
-    u32 utilization = 0;  ///< popcount(accessed_bitmap), cached.
-    u32 useful_refs = 0;  ///< Hits beyond the fetch-triggering line.
     u64 insert_stamp = 0;
     bool dirty = false;
-    bool valid = false;
 
+    u32 utilization() const {
+      return static_cast<u32>(std::popcount(accessed_bitmap));
+    }
     bool fully_transferred(u32 lines_per_row) const {
       return static_cast<u32>(std::popcount(seed_bitmap | accessed_bitmap)) >=
              lines_per_row;
     }
   };
 
-  std::optional<u32> find(BankRow row) const;
-  void touch_mru(u32 slot);
-  u32 recency_of_position(size_t pos) const;
-  std::vector<VictimCandidate> candidates() const;
-  EvictedRow pop_slot(u32 slot);
+  std::vector<Entry>::const_iterator find(BankRow row) const;
+  EvictedRow retire(const Entry& e);
 
   PrefetchBufferConfig cfg_;
-  std::unique_ptr<ReplacementPolicy> policy_;
+  Replacement policy_;
   obs::TraceRecorder* trace_ = nullptr;
   u32 trace_track_ = 0;
   u64 trace_ticks_per_stamp_ = 1;
-  std::vector<Entry> slots_;
-  std::vector<u32> mru_order_;  ///< Front = MRU; holds valid slot indices.
+  std::vector<Entry> rows_;  ///< Front = MRU; position p has recency
+                             ///< entries-1-p.
+  std::vector<VictimCandidate> candidates_;  ///< Reused by insert().
 
-  u64 hits_ = 0, misses_ = 0, inserts_ = 0, evictions_ = 0;
-  u64 evicted_unreferenced_ = 0, dirty_writebacks_ = 0;
+  u64 hits_ = 0, misses_ = 0, inserts_ = 0;
   u64 finished_rows_ = 0, finished_referenced_ = 0;
-  std::vector<u64> evict_util_hist_;
-  std::vector<u64> evict_unused_hist_;
 };
 
 static_assert(check::Auditable<PrefetchBuffer>);

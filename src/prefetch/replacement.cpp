@@ -1,25 +1,22 @@
 #include "prefetch/replacement.hpp"
 
-#include <memory>
 #include <vector>
 
 #include "common/assert.hpp"
 
 namespace camps::prefetch {
 
-u32 LruReplacement::pick_victim(
-    const std::vector<VictimCandidate>& candidates) {
+u32 pick_victim(Replacement policy,
+                const std::vector<VictimCandidate>& candidates) {
   CAMPS_ASSERT(!candidates.empty());
-  const VictimCandidate* best = &candidates.front();
-  for (const auto& c : candidates) {
-    if (c.recency < best->recency) best = &c;
-  }
-  return best->slot;
-}
 
-u32 UtilizationRecencyReplacement::pick_victim(
-    const std::vector<VictimCandidate>& candidates) {
-  CAMPS_ASSERT(!candidates.empty());
+  if (policy == Replacement::kLru) {
+    const VictimCandidate* best = &candidates.front();
+    for (const auto& c : candidates) {
+      if (c.recency < best->recency) best = &c;
+    }
+    return best->slot;
+  }
 
   // Step 1: a fully-consumed row leaves first.
   const VictimCandidate* full = nullptr;
@@ -43,14 +40,6 @@ u32 UtilizationRecencyReplacement::pick_victim(
     if (better(c, *best)) best = &c;
   }
   return best->slot;
-}
-
-std::unique_ptr<ReplacementPolicy> make_lru() {
-  return std::make_unique<LruReplacement>();
-}
-
-std::unique_ptr<ReplacementPolicy> make_utilization_recency() {
-  return std::make_unique<UtilizationRecencyReplacement>();
 }
 
 }  // namespace camps::prefetch

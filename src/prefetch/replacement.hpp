@@ -1,56 +1,38 @@
 // Prefetch-buffer replacement policies.
 //
 // The paper compares two: classic LRU (used by BASE/BASE-HIT/MMD/CAMPS) and
-// the utilization+recency policy of Section 3.2 (CAMPS-MOD). Policies see a
-// snapshot of candidate entries and return the victim's slot index.
+// the utilization+recency policy of Section 3.2 (CAMPS-MOD). pick_victim()
+// sees a snapshot of the resident rows and returns the victim's slot.
 #pragma once
 
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "common/types.hpp"
 
 namespace camps::prefetch {
 
+enum class Replacement : u8 {
+  /// Least-recently-used: evicts the candidate with minimum recency.
+  kLru,
+  /// Section 3.2 policy:
+  ///   1. if any row has had ALL its distinct lines referenced, evict it
+  ///      (its data has already been shipped to the processor); ties broken
+  ///      by lowest recency;
+  ///   2. otherwise evict the row with minimum (utilization + recency);
+  ///   3. ties broken by lowest utilization, then lowest recency, then slot.
+  kUtilizationRecency,
+};
+
 /// What a policy may inspect about each resident row.
 struct VictimCandidate {
-  u32 slot = 0;        ///< Buffer slot index (returned as the victim id).
+  u32 slot = 0;        ///< Row's place in the buffer (returned as the victim).
   u32 utilization = 0; ///< Distinct lines referenced since insertion.
   u32 recency = 0;     ///< Paper encoding: MRU = entries-1, LRU = 0.
   bool fully_used = false;  ///< All distinct lines referenced.
 };
 
-class ReplacementPolicy {
- public:
-  virtual ~ReplacementPolicy() = default;
-
-  /// Picks the victim among `candidates` (never empty). Deterministic.
-  virtual u32 pick_victim(const std::vector<VictimCandidate>& candidates) = 0;
-
-  virtual std::string name() const = 0;
-};
-
-/// Least-recently-used: evicts the candidate with minimum recency.
-class LruReplacement final : public ReplacementPolicy {
- public:
-  u32 pick_victim(const std::vector<VictimCandidate>& candidates) override;
-  std::string name() const override { return "lru"; }
-};
-
-/// Section 3.2 policy:
-///   1. if any row has had ALL its distinct lines referenced, evict it (its
-///      data has already been shipped to the processor); ties broken by
-///      lowest recency;
-///   2. otherwise evict the row with minimum (utilization + recency);
-///   3. ties broken by lowest utilization, then lowest recency, then slot.
-class UtilizationRecencyReplacement final : public ReplacementPolicy {
- public:
-  u32 pick_victim(const std::vector<VictimCandidate>& candidates) override;
-  std::string name() const override { return "util-recency"; }
-};
-
-std::unique_ptr<ReplacementPolicy> make_lru();
-std::unique_ptr<ReplacementPolicy> make_utilization_recency();
+/// Picks the victim's slot among `candidates` (never empty). Deterministic.
+u32 pick_victim(Replacement policy,
+                const std::vector<VictimCandidate>& candidates);
 
 }  // namespace camps::prefetch

@@ -8,7 +8,6 @@
 // usefulness-driven schemes (MMD) adapt.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -81,9 +80,7 @@ class PrefetchScheme {
 
   /// Replacement policy this scheme pairs with (Section 5 fixes LRU for
   /// everything except CAMPS-MOD).
-  virtual std::unique_ptr<ReplacementPolicy> make_replacement() const {
-    return make_lru();
-  }
+  virtual Replacement replacement() const { return Replacement::kLru; }
 };
 
 }  // namespace camps::prefetch

@@ -1,8 +1,5 @@
 #include "prefetch/scheme_camps.hpp"
 
-#include <memory>
-#include <string>
-
 #include "common/assert.hpp"
 
 // Debug builds self-audit the RUT/CT pair after every structural transition
@@ -29,8 +26,12 @@ namespace {
 
 }  // namespace
 
-CampsScheme::CampsScheme(const CampsParams& params)
-    : p_(params), rut_(params.banks), ct_(params.conflict_entries) {
+CampsScheme::CampsScheme(u32 banks, Replacement replacement,
+                         const CampsParams& params)
+    : p_(params),
+      replacement_(replacement),
+      rut_(banks),
+      ct_(params.conflict_entries) {
   CAMPS_ASSERT(p_.utilization_threshold >= 1);
 }
 
@@ -104,11 +105,7 @@ void CampsScheme::on_fault_flush() {
   } audit_on_exit{this};
 #endif
   for (BankId bank = 0; bank < rut_.banks(); ++bank) rut_.remove(bank);
-  for (const BankRow& id : ct_.snapshot()) ct_.remove(id);
-}
-
-std::unique_ptr<ReplacementPolicy> CampsScheme::make_replacement() const {
-  return p_.modified_replacement ? make_utilization_recency() : make_lru();
+  ct_.clear();
 }
 
 }  // namespace camps::prefetch

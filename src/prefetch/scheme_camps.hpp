@@ -18,10 +18,9 @@
 //
 // CAMPS pairs this with LRU buffer replacement; CAMPS-MOD swaps in the
 // utilization+recency policy of Section 3.2. Both variants share this
-// class — the only difference is make_replacement().
+// class — the only difference is the Replacement it is built with.
 #pragma once
 
-#include <memory>
 #include <string>
 
 #include "prefetch/conflict_table.hpp"
@@ -31,16 +30,16 @@
 namespace camps::prefetch {
 
 struct CampsParams {
-  u32 banks = 16;              ///< RUT entries per vault (Table I).
   u32 conflict_entries = 32;   ///< CT entries per vault.
   u32 utilization_threshold = 4;
-  /// CAMPS-MOD: use the utilization+recency buffer replacement.
-  bool modified_replacement = false;
 };
 
 class CampsScheme final : public PrefetchScheme {
  public:
-  explicit CampsScheme(const CampsParams& params = {});
+  /// `banks` sizes the RUT (one entry per bank of the vault); `replacement`
+  /// picks the variant: kLru is CAMPS, kUtilizationRecency is CAMPS-MOD.
+  CampsScheme(u32 banks, Replacement replacement,
+              const CampsParams& params = {});
 
   PrefetchDecision on_demand_access(const AccessContext& ctx) override;
   /// Degradation flush (fault recovery): empties the RUT and CT wholesale.
@@ -48,9 +47,10 @@ class CampsScheme final : public PrefetchScheme {
   /// hand-off state cannot be corrupted mid-flight.
   void on_fault_flush() override;
   std::string name() const override {
-    return p_.modified_replacement ? "CAMPS-MOD" : "CAMPS";
+    return replacement_ == Replacement::kUtilizationRecency ? "CAMPS-MOD"
+                                                            : "CAMPS";
   }
-  std::unique_ptr<ReplacementPolicy> make_replacement() const override;
+  Replacement replacement() const override { return replacement_; }
 
   /// Invariants: the RUT and CT individually hold (delegated), the tables
   /// keep their configured shapes, a row's profile lives in the RUT *or*
@@ -76,6 +76,7 @@ class CampsScheme final : public PrefetchScheme {
   friend struct check::TestCorruptor;
 
   CampsParams p_;
+  Replacement replacement_;
   RowUtilizationTable rut_;
   ConflictTable ct_;
   u64 threshold_prefetches_ = 0;

@@ -86,7 +86,6 @@ SystemConfig hmc_gen1_config(prefetch::SchemeKind scheme) {
   SystemConfig cfg = table1_config(scheme);
   cfg.hmc.geometry.vaults = 16;
   cfg.hmc.geometry.banks_per_vault = 8;
-  cfg.hmc.vault.banks = 8;
   cfg.hmc.geometry.rows_per_bank = 16384;  // 2 GB cube
   cfg.hmc.link.gbps_per_lane = 10.0;
   return cfg;
@@ -129,7 +128,6 @@ SystemConfig apply_overrides(SystemConfig base, const ConfigFile& cfg) {
       static_cast<u32>(cfg.get_uint("hmc.vaults", base.hmc.geometry.vaults));
   base.hmc.geometry.banks_per_vault = static_cast<u32>(
       cfg.get_uint("hmc.banks", base.hmc.geometry.banks_per_vault));
-  base.hmc.vault.banks = base.hmc.geometry.banks_per_vault;
   base.hmc.num_links =
       static_cast<u32>(cfg.get_uint("hmc.links", base.hmc.num_links));
   base.hmc.geometry.rows_per_bank =

@@ -32,16 +32,17 @@ struct TestCorruptor {
       ct.lru_.push_back(BankRow{15, 40'000 + i});
     }
   }
-  static void duplicate_recency(prefetch::PrefetchBuffer& buffer) {
-    buffer.mru_order_.push_back(buffer.mru_order_.front());
+  static void duplicate_buffer_row(prefetch::PrefetchBuffer& buffer) {
+    buffer.rows_.push_back(buffer.rows_.front());
   }
-  static void skew_utilization(prefetch::PrefetchBuffer& buffer) {
-    for (auto& entry : buffer.slots_) {
-      if (entry.valid) {
-        entry.utilization += 7;
-        return;
-      }
+  static void overflow_buffer(prefetch::PrefetchBuffer& buffer) {
+    for (u32 i = 0; i <= buffer.cfg_.entries; ++i) {
+      buffer.rows_.push_back({.id = BankRow{15, 40'000 + i}});
     }
+  }
+  static void mark_line_past_row(prefetch::PrefetchBuffer& buffer) {
+    auto& row = buffer.rows_.front();
+    row.accessed_bitmap |= u64{1} << buffer.cfg_.lines_per_row;
   }
   static void scramble_bank_state(dram::Bank& bank) {
     bank.raw_state_ = static_cast<dram::BankState>(250);
@@ -134,7 +135,7 @@ TEST(CleanAudit, BankThroughLegalCommandSequence) {
 }
 
 TEST(CleanAudit, CampsTablesAfterSchemeTraffic) {
-  prefetch::CampsScheme scheme;
+  prefetch::CampsScheme scheme(16, prefetch::Replacement::kLru);
   prefetch::AccessContext ctx;
   for (u32 i = 0; i < 200; ++i) {
     ctx.bank = i % 16;
@@ -151,7 +152,7 @@ TEST(CleanAudit, CampsTablesAfterSchemeTraffic) {
 
 TEST(CleanAudit, PrefetchBufferAndMshr) {
   prefetch::PrefetchBuffer buffer({.entries = 4, .lines_per_row = 16},
-                                  prefetch::make_lru());
+                                  prefetch::Replacement::kLru);
   for (u32 r = 0; r < 6; ++r) buffer.insert(BankRow{0, r});
   buffer.access(BankRow{0, 4}, 3, AccessType::kRead);
   cache::MshrFile mshrs(8);
@@ -184,25 +185,36 @@ TEST(CorruptionAudit, ConflictTableOverflow) {
 }
 
 TEST(CorruptionAudit, RecencyStackNotAPermutation) {
+  // The rows sit in recency order: a row listed twice would carry two
+  // recency values and could be hit twice.
   prefetch::PrefetchBuffer buffer({.entries = 8, .lines_per_row = 16},
-                                  prefetch::make_lru());
+                                  prefetch::Replacement::kLru);
   buffer.insert(BankRow{1, 10});
   buffer.insert(BankRow{1, 11});
-  TestCorruptor::duplicate_recency(buffer);
+  TestCorruptor::duplicate_buffer_row(buffer);
   AuditReporter rep;
   buffer.audit(rep);
-  EXPECT_TRUE(reports(rep, "recency-permutation")) << rep.report();
+  EXPECT_TRUE(reports(rep, "duplicate-row")) << rep.report();
 }
 
-TEST(CorruptionAudit, UtilizationCounterDriftsFromBitmap) {
+TEST(CorruptionAudit, PrefetchBufferOverflow) {
   prefetch::PrefetchBuffer buffer({.entries = 8, .lines_per_row = 16},
-                                  prefetch::make_lru());
-  buffer.insert(BankRow{1, 10});
-  buffer.access(BankRow{1, 10}, 5, AccessType::kRead);
-  TestCorruptor::skew_utilization(buffer);
+                                  prefetch::Replacement::kLru);
+  TestCorruptor::overflow_buffer(buffer);
   AuditReporter rep;
   buffer.audit(rep);
-  EXPECT_TRUE(reports(rep, "utilization-popcount")) << rep.report();
+  EXPECT_TRUE(reports(rep, "buffer-capacity")) << rep.report();
+}
+
+TEST(CorruptionAudit, BufferBitmapMarksLinesPastTheRow) {
+  prefetch::PrefetchBuffer buffer({.entries = 8, .lines_per_row = 16},
+                                  prefetch::Replacement::kLru);
+  buffer.insert(BankRow{1, 10});
+  buffer.access(BankRow{1, 10}, 5, AccessType::kRead);
+  TestCorruptor::mark_line_past_row(buffer);
+  AuditReporter rep;
+  buffer.audit(rep);
+  EXPECT_TRUE(reports(rep, "bitmap-range")) << rep.report();
 }
 
 TEST(CorruptionAudit, BankFsmStateOutOfRange) {
@@ -234,7 +246,7 @@ TEST(CorruptionAudit, EventQueueHeapOrderBroken) {
 }
 
 TEST(CorruptionAudit, RowProfiledInRutAndArchivedInCt) {
-  prefetch::CampsScheme scheme;
+  prefetch::CampsScheme scheme(16, prefetch::Replacement::kLru);
   prefetch::AccessContext ctx;
   ctx.bank = 4;
   ctx.row = 99;

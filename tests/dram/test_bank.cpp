@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 #include <optional>
+#include <ostream>
 
 namespace camps::dram {
 namespace {
@@ -223,6 +224,13 @@ TEST_F(BankTest, RandomLegalCommandFuzz) {
 struct TimingCase {
   u64 trcd, trp, tcl, tras;
 };
+
+// Names each ctest after its timings ("tRCD11_tRP11_tCL11_tRAS28") instead
+// of the struct's raw bytes.
+void PrintTo(const TimingCase& c, std::ostream* os) {
+  *os << "tRCD" << c.trcd << "_tRP" << c.trp << "_tCL" << c.tcl << "_tRAS"
+      << c.tras;
+}
 
 class BankTimingSweep : public ::testing::TestWithParam<TimingCase> {};
 

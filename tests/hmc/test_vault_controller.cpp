@@ -25,9 +25,10 @@ struct Harness {
     VaultConfig cfg;
     cfg.refresh_enabled = refresh;
     cfg.page_policy = policy;
+    const u32 banks = HmcGeometry{}.banks_per_vault;
     vault = std::make_unique<VaultController>(
-        sim, 0, cfg, prefetch::make_scheme(scheme, params), nullptr, nullptr,
-        [this](const MemRequest& req, Tick ready) {
+        sim, 0, banks, cfg, prefetch::make_scheme(scheme, banks, params),
+        nullptr, nullptr, [this](const MemRequest& req, Tick ready) {
           responses.emplace_back(req.id, ready);
         });
   }

@@ -64,7 +64,7 @@ TEST(ConflictTable, SnapshotMruFirst) {
   ct.insert(row(0, 1));
   ct.insert(row(0, 2));
   ct.insert(row(0, 3));
-  const auto snap = ct.snapshot();
+  const auto& snap = ct.entries();
   ASSERT_EQ(snap.size(), 3u);
   EXPECT_EQ(snap[0], row(0, 3));
   EXPECT_EQ(snap[2], row(0, 1));

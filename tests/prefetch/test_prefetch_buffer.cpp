@@ -14,14 +14,14 @@ PrefetchBufferConfig small_cfg(u32 entries = 4) {
 BankRow row(u32 bank, u64 r) { return BankRow{bank, r}; }
 
 TEST(PrefetchBuffer, StartsEmpty) {
-  PrefetchBuffer buf(small_cfg(), make_lru());
+  PrefetchBuffer buf(small_cfg(), Replacement::kLru);
   EXPECT_EQ(buf.size(), 0u);
   EXPECT_EQ(buf.capacity(), 4u);
   EXPECT_FALSE(buf.contains(row(0, 1)));
 }
 
 TEST(PrefetchBuffer, InsertMakesResident) {
-  PrefetchBuffer buf(small_cfg(), make_lru());
+  PrefetchBuffer buf(small_cfg(), Replacement::kLru);
   const auto result = buf.insert(row(0, 1));
   EXPECT_TRUE(result.inserted);
   EXPECT_FALSE(result.victim.has_value());
@@ -31,7 +31,7 @@ TEST(PrefetchBuffer, InsertMakesResident) {
 }
 
 TEST(PrefetchBuffer, ReinsertResidentIsNoOp) {
-  PrefetchBuffer buf(small_cfg(), make_lru());
+  PrefetchBuffer buf(small_cfg(), Replacement::kLru);
   buf.insert(row(0, 1));
   const auto result = buf.insert(row(0, 1));
   EXPECT_FALSE(result.inserted);
@@ -40,14 +40,14 @@ TEST(PrefetchBuffer, ReinsertResidentIsNoOp) {
 }
 
 TEST(PrefetchBuffer, DistinguishesBankAndRow) {
-  PrefetchBuffer buf(small_cfg(), make_lru());
+  PrefetchBuffer buf(small_cfg(), Replacement::kLru);
   buf.insert(row(0, 1));
   EXPECT_FALSE(buf.contains(row(1, 1)));
   EXPECT_FALSE(buf.contains(row(0, 2)));
 }
 
 TEST(PrefetchBuffer, AccessHitMarksLineAndCountsUtilization) {
-  PrefetchBuffer buf(small_cfg(), make_lru());
+  PrefetchBuffer buf(small_cfg(), Replacement::kLru);
   buf.insert(row(0, 1));
   EXPECT_TRUE(buf.access(row(0, 1), 3, AccessType::kRead));
   EXPECT_TRUE(buf.access(row(0, 1), 3, AccessType::kRead));  // same line
@@ -57,14 +57,14 @@ TEST(PrefetchBuffer, AccessHitMarksLineAndCountsUtilization) {
 }
 
 TEST(PrefetchBuffer, AccessMissCounts) {
-  PrefetchBuffer buf(small_cfg(), make_lru());
+  PrefetchBuffer buf(small_cfg(), Replacement::kLru);
   EXPECT_FALSE(buf.access(row(0, 9), 0, AccessType::kRead));
   buf.count_miss();
   EXPECT_EQ(buf.misses(), 2u);
 }
 
 TEST(PrefetchBuffer, RecencyStackPaperEncoding) {
-  PrefetchBuffer buf(small_cfg(4), make_lru());
+  PrefetchBuffer buf(small_cfg(4), Replacement::kLru);
   buf.insert(row(0, 1));
   buf.insert(row(0, 2));
   buf.insert(row(0, 3));
@@ -80,7 +80,7 @@ TEST(PrefetchBuffer, RecencyStackPaperEncoding) {
 }
 
 TEST(PrefetchBuffer, LruEvictionOrder) {
-  PrefetchBuffer buf(small_cfg(2), make_lru());
+  PrefetchBuffer buf(small_cfg(2), Replacement::kLru);
   buf.insert(row(0, 1));
   buf.insert(row(0, 2));
   const auto result = buf.insert(row(0, 3));
@@ -92,7 +92,7 @@ TEST(PrefetchBuffer, LruEvictionOrder) {
 }
 
 TEST(PrefetchBuffer, VictimReportsUsefulness) {
-  PrefetchBuffer buf(small_cfg(1), make_lru());
+  PrefetchBuffer buf(small_cfg(1), Replacement::kLru);
   buf.insert(row(0, 1));
   buf.access(row(0, 1), 0, AccessType::kRead);
   auto v1 = buf.insert(row(0, 2));
@@ -102,11 +102,10 @@ TEST(PrefetchBuffer, VictimReportsUsefulness) {
   auto v2 = buf.insert(row(0, 3));
   ASSERT_TRUE(v2.victim);
   EXPECT_FALSE(v2.victim->referenced);
-  EXPECT_EQ(buf.evicted_unreferenced(), 1u);
 }
 
 TEST(PrefetchBuffer, FillTouchDoesNotCountAsUseful) {
-  PrefetchBuffer buf(small_cfg(1), make_lru());
+  PrefetchBuffer buf(small_cfg(1), Replacement::kLru);
   buf.insert(row(0, 1));
   buf.access(row(0, 1), 0, AccessType::kRead, /*fill_touch=*/true);
   const auto v = buf.insert(row(0, 2));
@@ -116,27 +115,25 @@ TEST(PrefetchBuffer, FillTouchDoesNotCountAsUseful) {
 }
 
 TEST(PrefetchBuffer, DirtyTracking) {
-  PrefetchBuffer buf(small_cfg(1), make_lru());
+  PrefetchBuffer buf(small_cfg(1), Replacement::kLru);
   buf.insert(row(0, 1));
   buf.access(row(0, 1), 2, AccessType::kWrite);
   const auto v = buf.insert(row(0, 2));
   ASSERT_TRUE(v.victim);
   EXPECT_TRUE(v.victim->dirty);
-  EXPECT_EQ(buf.dirty_writebacks(), 1u);
 }
 
 TEST(PrefetchBuffer, CleanVictimNoWriteback) {
-  PrefetchBuffer buf(small_cfg(1), make_lru());
+  PrefetchBuffer buf(small_cfg(1), Replacement::kLru);
   buf.insert(row(0, 1));
   buf.access(row(0, 1), 2, AccessType::kRead);
   const auto v = buf.insert(row(0, 2));
   ASSERT_TRUE(v.victim);
   EXPECT_FALSE(v.victim->dirty);
-  EXPECT_EQ(buf.dirty_writebacks(), 0u);
 }
 
 TEST(PrefetchBuffer, SeedBitmapCountsForFullTransferOnly) {
-  PrefetchBuffer buf(small_cfg(2), make_utilization_recency());
+  PrefetchBuffer buf(small_cfg(2), Replacement::kUtilizationRecency);
   // Row 1: 12 lines seeded + 4 accessed = fully transferred.
   buf.insert(row(0, 1), /*seed_bitmap=*/0x0FFF);
   for (LineId line = 12; line < 16; ++line) {
@@ -154,7 +151,7 @@ TEST(PrefetchBuffer, SeedBitmapCountsForFullTransferOnly) {
 }
 
 TEST(PrefetchBuffer, UtilRecencyEvictsMinimumSum) {
-  PrefetchBuffer buf(small_cfg(3), make_utilization_recency());
+  PrefetchBuffer buf(small_cfg(3), Replacement::kUtilizationRecency);
   buf.insert(row(0, 1));
   buf.insert(row(0, 2));
   buf.insert(row(0, 3));
@@ -170,16 +167,26 @@ TEST(PrefetchBuffer, UtilRecencyEvictsMinimumSum) {
 }
 
 TEST(PrefetchBuffer, EvictExplicit) {
-  PrefetchBuffer buf(small_cfg(), make_lru());
+  PrefetchBuffer buf(small_cfg(), Replacement::kLru);
   buf.insert(row(0, 1));
-  EXPECT_TRUE(buf.evict(row(0, 1)));
+  buf.insert(row(0, 2));
+  buf.access(row(0, 1), 4, AccessType::kWrite);
+  // flush() evicts every row, MRU first, with the usual victim reports.
+  const auto victims = buf.flush();
+  ASSERT_EQ(victims.size(), 2u);
+  EXPECT_EQ(victims[0].id, row(0, 1));
+  EXPECT_TRUE(victims[0].referenced);
+  EXPECT_TRUE(victims[0].dirty);
+  EXPECT_EQ(victims[1].id, row(0, 2));
+  EXPECT_FALSE(victims[1].referenced);
+  EXPECT_FALSE(victims[1].dirty);
   EXPECT_FALSE(buf.contains(row(0, 1)));
-  EXPECT_FALSE(buf.evict(row(0, 1)));
-  EXPECT_EQ(buf.evictions(), 1u);
+  EXPECT_EQ(buf.size(), 0u);
+  EXPECT_TRUE(buf.flush().empty());
 }
 
 TEST(PrefetchBuffer, RowAccuracyMixesResidentAndEvicted) {
-  PrefetchBuffer buf(small_cfg(2), make_lru());
+  PrefetchBuffer buf(small_cfg(2), Replacement::kLru);
   buf.insert(row(0, 1));
   buf.access(row(0, 1), 0, AccessType::kRead);  // useful resident
   buf.insert(row(0, 2));                        // unused resident
@@ -189,21 +196,23 @@ TEST(PrefetchBuffer, RowAccuracyMixesResidentAndEvicted) {
   EXPECT_NEAR(buf.row_accuracy(), 1.0 / 3.0, 1e-9);
 }
 
-TEST(PrefetchBuffer, EvictionHistograms) {
-  PrefetchBuffer buf(small_cfg(1), make_lru());
+TEST(PrefetchBuffer, VictimReportsUtilization) {
+  PrefetchBuffer buf(small_cfg(1), Replacement::kLru);
   buf.insert(row(0, 1));
   buf.access(row(0, 1), 0, AccessType::kRead);
   buf.access(row(0, 1), 1, AccessType::kRead);
-  buf.insert(row(0, 2));  // evicts util-2 used row
-  buf.insert(row(0, 3));  // evicts util-0 unused row
-  EXPECT_EQ(buf.evictions_by_utilization()[2], 1u);
-  EXPECT_EQ(buf.evictions_by_utilization()[0], 1u);
-  EXPECT_EQ(buf.unused_evictions_by_utilization()[0], 1u);
-  EXPECT_EQ(buf.unused_evictions_by_utilization()[2], 0u);
+  const auto used = buf.insert(row(0, 2));    // evicts util-2 used row
+  const auto unused = buf.insert(row(0, 3));  // evicts util-0 unused row
+  ASSERT_TRUE(used.victim);
+  ASSERT_TRUE(unused.victim);
+  EXPECT_EQ(used.victim->utilization, 2u);
+  EXPECT_TRUE(used.victim->referenced);
+  EXPECT_EQ(unused.victim->utilization, 0u);
+  EXPECT_FALSE(unused.victim->referenced);
 }
 
 TEST(PrefetchBuffer, ResetStatsKeepsContents) {
-  PrefetchBuffer buf(small_cfg(), make_lru());
+  PrefetchBuffer buf(small_cfg(), Replacement::kLru);
   buf.insert(row(0, 1));
   buf.access(row(0, 1), 0, AccessType::kRead);
   buf.reset_stats();
@@ -224,15 +233,21 @@ TEST(PrefetchBuffer, TableIConfiguration) {
 class BufferChurnSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(BufferChurnSweep, CapacityInvariant) {
-  auto policy = GetParam() == 0 ? make_lru() : make_utilization_recency();
-  PrefetchBuffer buf(small_cfg(8), std::move(policy));
+  PrefetchBuffer buf(small_cfg(8), GetParam() == 0
+                                       ? Replacement::kLru
+                                       : Replacement::kUtilizationRecency);
   u64 x = 7;
   u64 resident_checks = 0;
+  u64 victims = 0;
   for (int i = 0; i < 5000; ++i) {
     x = x * 6364136223846793005ULL + 1442695040888963407ULL;
     const BankRow r{static_cast<BankId>((x >> 8) % 4), (x >> 16) % 32};
     if ((x & 3) == 0) {
-      buf.insert(r);
+      const auto result = buf.insert(r);
+      if (result.victim) {
+        ++victims;
+        EXPECT_FALSE(buf.contains(result.victim->id));
+      }
     } else {
       if (buf.access(r, static_cast<LineId>((x >> 40) % 16),
                      (x & 4) != 0 ? AccessType::kWrite : AccessType::kRead)) {
@@ -243,7 +258,7 @@ TEST_P(BufferChurnSweep, CapacityInvariant) {
     ASSERT_LE(buf.size(), buf.capacity());
   }
   EXPECT_GT(resident_checks, 0u);
-  EXPECT_EQ(buf.inserts(), buf.evictions() + buf.size());
+  EXPECT_EQ(buf.inserts(), victims + buf.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(Policies, BufferChurnSweep, ::testing::Values(0, 1));

@@ -1,7 +1,6 @@
 #include "prefetch/replacement.hpp"
 
 #include <gtest/gtest.h>
-#include <memory>
 #include <vector>
 
 namespace camps::prefetch {
@@ -12,78 +11,67 @@ VictimCandidate cand(u32 slot, u32 util, u32 recency, bool full = false) {
       .slot = slot, .utilization = util, .recency = recency, .fully_used = full};
 }
 
+u32 lru(const std::vector<VictimCandidate>& candidates) {
+  return pick_victim(Replacement::kLru, candidates);
+}
+
+u32 util_recency(const std::vector<VictimCandidate>& candidates) {
+  return pick_victim(Replacement::kUtilizationRecency, candidates);
+}
+
 TEST(LruReplacement, PicksMinimumRecency) {
-  LruReplacement lru;
-  EXPECT_EQ(lru.pick_victim({cand(0, 5, 10), cand(1, 0, 3), cand(2, 9, 7)}),
-            1u);
+  EXPECT_EQ(lru({cand(0, 5, 10), cand(1, 0, 3), cand(2, 9, 7)}), 1u);
 }
 
 TEST(LruReplacement, IgnoresUtilization) {
-  LruReplacement lru;
   // Slot 0 heavily used but LRU — still the victim.
-  EXPECT_EQ(lru.pick_victim({cand(0, 16, 0), cand(1, 0, 1)}), 0u);
+  EXPECT_EQ(lru({cand(0, 16, 0), cand(1, 0, 1)}), 0u);
 }
 
 TEST(LruReplacement, SingleCandidate) {
-  LruReplacement lru;
-  EXPECT_EQ(lru.pick_victim({cand(7, 3, 3)}), 7u);
-}
-
-TEST(LruReplacement, NameStable) {
-  EXPECT_EQ(LruReplacement().name(), "lru");
+  EXPECT_EQ(lru({cand(7, 3, 3)}), 7u);
 }
 
 TEST(UtilRecency, FullyUsedLeavesFirst) {
-  UtilizationRecencyReplacement ur;
   // Slot 2 is fully transferred; despite high recency it goes first.
-  EXPECT_EQ(ur.pick_victim({cand(0, 1, 0), cand(1, 2, 5),
-                            cand(2, 16, 14, /*full=*/true)}),
+  EXPECT_EQ(util_recency({cand(0, 1, 0), cand(1, 2, 5),
+                          cand(2, 16, 14, /*full=*/true)}),
             2u);
 }
 
 TEST(UtilRecency, FullyUsedTieBrokenByLowestRecency) {
-  UtilizationRecencyReplacement ur;
-  EXPECT_EQ(ur.pick_victim({cand(0, 16, 9, true), cand(1, 16, 2, true),
-                            cand(2, 0, 0)}),
+  EXPECT_EQ(util_recency({cand(0, 16, 9, true), cand(1, 16, 2, true),
+                          cand(2, 0, 0)}),
             1u);
 }
 
 TEST(UtilRecency, MinimumSumWinsWithoutFullRows) {
-  UtilizationRecencyReplacement ur;
   // sums: 0 -> 5+10=15, 1 -> 2+4=6, 2 -> 8+1=9
-  EXPECT_EQ(ur.pick_victim({cand(0, 5, 10), cand(1, 2, 4), cand(2, 8, 1)}),
+  EXPECT_EQ(util_recency({cand(0, 5, 10), cand(1, 2, 4), cand(2, 8, 1)}),
             1u);
 }
 
 TEST(UtilRecency, SumTieBrokenByLowerUtilization) {
-  UtilizationRecencyReplacement ur;
   // sums equal (8): slot 0 util 6, slot 1 util 2 -> evict slot 1 (paper:
   // "the row with the lowest utilization count value will be evicted").
-  EXPECT_EQ(ur.pick_victim({cand(0, 6, 2), cand(1, 2, 6)}), 1u);
+  EXPECT_EQ(util_recency({cand(0, 6, 2), cand(1, 2, 6)}), 1u);
 }
 
 TEST(UtilRecency, FullTieBrokenByLowerRecencyThenSlot) {
-  UtilizationRecencyReplacement ur;
   // Identical util and recency: lowest slot wins (determinism).
-  EXPECT_EQ(ur.pick_victim({cand(3, 2, 6), cand(1, 2, 6)}), 1u);
+  EXPECT_EQ(util_recency({cand(3, 2, 6), cand(1, 2, 6)}), 1u);
 }
 
 TEST(UtilRecency, FreshRowProtectedByRecency) {
-  UtilizationRecencyReplacement ur;
   // A freshly inserted row (util 0, MRU recency 15) must survive against
   // an old moderately used row.
-  EXPECT_EQ(ur.pick_victim({cand(0, 0, 15), cand(1, 4, 0)}), 1u);
+  EXPECT_EQ(util_recency({cand(0, 0, 15), cand(1, 4, 0)}), 1u);
 }
 
 TEST(UtilRecency, HighUtilizationProtectsOldRows) {
-  UtilizationRecencyReplacement ur;
   // LRU would evict slot 0; utilization keeps it alive over the younger
   // barely-used row — the paper's motivating case.
-  EXPECT_EQ(ur.pick_victim({cand(0, 12, 0), cand(1, 1, 6)}), 1u);
-}
-
-TEST(UtilRecency, NameStable) {
-  EXPECT_EQ(UtilizationRecencyReplacement().name(), "util-recency");
+  EXPECT_EQ(util_recency({cand(0, 12, 0), cand(1, 1, 6)}), 1u);
 }
 
 TEST(UtilRecency, ExactVictimOrderPinned) {
@@ -94,7 +82,6 @@ TEST(UtilRecency, ExactVictimOrderPinned) {
   // victim from a fixed population must reproduce this exact order; any
   // change to the tie-break silently reshuffles buffer contents and skews
   // every downstream figure, so the order is pinned verbatim.
-  UtilizationRecencyReplacement ur;
   std::vector<VictimCandidate> pool = {
       cand(0, 5, 10),              // score 15
       cand(1, 16, 3, /*full=*/true),
@@ -108,7 +95,7 @@ TEST(UtilRecency, ExactVictimOrderPinned) {
   const std::vector<u32> expected_order = {1, 3, 6, 2, 5, 7, 4, 0};
   std::vector<u32> order;
   while (!pool.empty()) {
-    const u32 victim = ur.pick_victim(pool);
+    const u32 victim = util_recency(pool);
     order.push_back(victim);
     std::erase_if(pool,
                   [victim](const VictimCandidate& c) { return c.slot == victim; });
@@ -116,18 +103,14 @@ TEST(UtilRecency, ExactVictimOrderPinned) {
   EXPECT_EQ(order, expected_order);
 }
 
-TEST(ReplacementFactories, ProduceCorrectTypes) {
-  EXPECT_EQ(make_lru()->name(), "lru");
-  EXPECT_EQ(make_utilization_recency()->name(), "util-recency");
-}
-
 // Property sweep: both policies always return a slot that exists in the
 // candidate list.
 class PolicySweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(PolicySweep, VictimIsAlwaysACandidate) {
-  std::unique_ptr<ReplacementPolicy> policy =
-      GetParam() == 0 ? make_lru() : make_utilization_recency();
+  const Replacement policy = GetParam() == 0
+                                 ? Replacement::kLru
+                                 : Replacement::kUtilizationRecency;
   u64 x = 99;
   for (int trial = 0; trial < 200; ++trial) {
     std::vector<VictimCandidate> cands;
@@ -139,7 +122,7 @@ TEST_P(PolicySweep, VictimIsAlwaysACandidate) {
                            static_cast<u32>((x >> 20) % 16),
                            ((x >> 40) & 7) == 0));
     }
-    const u32 victim = policy->pick_victim(cands);
+    const u32 victim = pick_victim(policy, cands);
     bool found = false;
     for (const auto& c : cands) found |= c.slot == victim;
     EXPECT_TRUE(found);

@@ -163,7 +163,7 @@ TEST(Factory, NamesRoundTrip) {
         SchemeKind::kMmd, SchemeKind::kCamps, SchemeKind::kCampsMod,
         SchemeKind::kStream}) {
     EXPECT_EQ(scheme_from_string(to_string(kind)), kind);
-    EXPECT_EQ(make_scheme(kind)->name(), to_string(kind));
+    EXPECT_EQ(make_scheme(kind, 16)->name(), to_string(kind));
   }
 }
 
@@ -178,12 +178,14 @@ TEST(Factory, UnknownNameThrows) {
 
 TEST(Factory, ReplacementPolicyPairing) {
   // Section 5 fixes LRU everywhere except CAMPS-MOD.
-  EXPECT_EQ(make_scheme(SchemeKind::kBase)->make_replacement()->name(), "lru");
-  EXPECT_EQ(make_scheme(SchemeKind::kMmd)->make_replacement()->name(), "lru");
-  EXPECT_EQ(make_scheme(SchemeKind::kCamps)->make_replacement()->name(),
-            "lru");
-  EXPECT_EQ(make_scheme(SchemeKind::kCampsMod)->make_replacement()->name(),
-            "util-recency");
+  EXPECT_EQ(make_scheme(SchemeKind::kBase, 16)->replacement(),
+            Replacement::kLru);
+  EXPECT_EQ(make_scheme(SchemeKind::kMmd, 16)->replacement(),
+            Replacement::kLru);
+  EXPECT_EQ(make_scheme(SchemeKind::kCamps, 16)->replacement(),
+            Replacement::kLru);
+  EXPECT_EQ(make_scheme(SchemeKind::kCampsMod, 16)->replacement(),
+            Replacement::kUtilizationRecency);
 }
 
 }  // namespace

@@ -6,6 +6,9 @@
 #include <string>
 #include <vector>
 
+#include "prefetch/scheme_camps.hpp"
+#include "system/system.hpp"
+
 namespace camps::system {
 namespace {
 
@@ -84,7 +87,12 @@ TEST(SystemConfig, BankOverrideKeepsVaultConsistent) {
   auto cfg = ConfigFile::parse("hmc.banks = 8\n");
   const SystemConfig out = apply_overrides(table1_config(), cfg);
   EXPECT_EQ(out.hmc.geometry.banks_per_vault, 8u);
-  EXPECT_EQ(out.hmc.vault.banks, 8u);
+  // Vaults size their per-bank state from the geometry: CAMPS-MOD's RUT
+  // holds one entry per bank.
+  auto sys = make_workload_system(out, "MX1");
+  const auto& scheme = dynamic_cast<const prefetch::CampsScheme&>(
+      sys->memory().device().vault(0).scheme());
+  EXPECT_EQ(scheme.rut().banks(), 8u);
 }
 
 TEST(SystemConfig, BadSchemeNameThrows) {

@@ -1,5 +1,6 @@
 // Cross-cutting integration behaviours at full-system scale.
 #include <gtest/gtest.h>
+#include <ostream>
 #include <string>
 
 #include "system/system.hpp"
@@ -78,7 +79,8 @@ TEST(Integration, ClosedPagePolicyKillsConflicts) {
 
 // Robustness sweep: off-default geometries and sizes must simulate cleanly
 // (no asserts, no deadlocks, sane results), since every ablation bench
-// depends on them.
+// depends on them. The bank count is set in the geometry alone: vaults,
+// their schedulers and their CAMPS tables all size themselves from it.
 struct ConfigCase {
   u32 vaults;
   u32 banks;
@@ -87,6 +89,14 @@ struct ConfigCase {
   hmc::PagePolicy policy;
 };
 
+// Names each ctest after its fields ("vaults32_banks16_links4_buffer16_open")
+// instead of the struct's bytes, whose padding changes from run to run.
+void PrintTo(const ConfigCase& c, std::ostream* os) {
+  *os << "vaults" << c.vaults << "_banks" << c.banks << "_links" << c.links
+      << "_buffer" << c.buffer_entries
+      << (c.policy == hmc::PagePolicy::kOpen ? "_open" : "_closed");
+}
+
 class ConfigSweep : public ::testing::TestWithParam<ConfigCase> {};
 
 TEST_P(ConfigSweep, RunsClean) {
@@ -94,10 +104,10 @@ TEST_P(ConfigSweep, RunsClean) {
   SystemConfig cfg = quick(prefetch::SchemeKind::kCampsMod, 15000);
   cfg.hmc.geometry.vaults = c.vaults;
   cfg.hmc.geometry.banks_per_vault = c.banks;
-  cfg.hmc.vault.banks = c.banks;
   cfg.hmc.num_links = c.links;
   cfg.hmc.vault.buffer.entries = c.buffer_entries;
   cfg.hmc.vault.page_policy = c.policy;
+  ASSERT_TRUE(cfg.validate().empty());
   const auto r = make_workload_system(cfg, "MX2")->run();
   EXPECT_FALSE(r.partial);
   EXPECT_GT(r.geomean_ipc, 0.01);
