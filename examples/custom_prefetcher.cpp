@@ -68,11 +68,13 @@ int main(int argc, char** argv) {
   // custom schemes today is to register them in prefetch::make_scheme;
   // here we demonstrate the interface contract itself on a vault harness.
   sim::Simulator sim;
+  energy::EnergyModel energy;
+  StatRegistry stats;
   const u32 banks = hmc::HmcGeometry{}.banks_per_vault;
   u64 responses = 0;
   hmc::VaultController vault(
       sim, 0, banks, hmc::VaultConfig{},
-      std::make_unique<EagerCopyScheme>(banks), nullptr, nullptr,
+      std::make_unique<EagerCopyScheme>(banks), energy, stats,
       [&](const hmc::MemRequest&, Tick) { ++responses; });
 
   // Drive the vault with a synthetic stream: 8 sequential lines per row.

@@ -14,7 +14,6 @@ CacheHierarchy::CacheHierarchy(sim::Simulator& sim,
     : sim_(sim),
       cfg_(config),
       l3_(config.l3),
-      mshrs_(config.mshr_entries),
       memory_(memory),
       on_load_done_(std::move(on_load_done)) {
   CAMPS_ASSERT(cores > 0);
@@ -97,19 +96,12 @@ void CacheHierarchy::read(CoreId core, Addr addr) {
 
   // L3 miss: register with the MSHRs; the first miss launches the fetch
   // after the full lookup latency has elapsed.
-  allocate_or_defer(line, cycles,
-                    {.core = core, .store = false, .issued = issued});
+  allocate(line, cycles, {.core = core, .store = false, .issued = issued});
 }
 
-void CacheHierarchy::allocate_or_defer(Addr line, u32 lookup_cycles,
-                                       const MshrFile::Waiter& waiter) {
-  const auto result = mshrs_.allocate(line, waiter);
-  if (result == MshrFile::Allocate::kFull) {
-    // Structural stall: re-attempt when an outstanding fetch completes.
-    mshr_retry_.push_back({line, lookup_cycles, waiter});
-    return;
-  }
-  if (result == MshrFile::Allocate::kMustFetch) {
+void CacheHierarchy::allocate(Addr line, u32 lookup_cycles,
+                              const MshrFile::Waiter& waiter) {
+  if (mshrs_.allocate(line, waiter) == MshrFile::Allocate::kMustFetch) {
     sim_.schedule(Tick{lookup_cycles} * sim::kCpuTicksPerCycle,
                   [this, core = waiter.core, line] {
                     ++memory_reads_;
@@ -128,15 +120,6 @@ void CacheHierarchy::wake(Addr line, const MshrFile::Waiter& waiter) {
 void CacheHierarchy::fill_from_memory(Addr line) {
   fill_level(l3_, line, false, /*core=*/0, /*is_l3=*/true);
   for (const auto& waiter : mshrs_.complete(line)) wake(line, waiter);
-  // A slot just freed: give deferred miss attempts another chance (they
-  // re-defer themselves if the file fills up again).
-  if (!mshr_retry_.empty()) {
-    std::vector<DeferredMiss> retries;
-    retries.swap(mshr_retry_);
-    for (const auto& miss : retries) {
-      allocate_or_defer(miss.line, miss.lookup_cycles, miss.waiter);
-    }
-  }
 }
 
 void CacheHierarchy::write(CoreId core, Addr addr) {
@@ -151,7 +134,7 @@ void CacheHierarchy::write(CoreId core, Addr addr) {
   }
   // Write-allocate: fetch the line; the store itself has already retired
   // (store buffer), so nothing waits on it — the line lands dirty in L1.
-  allocate_or_defer(line, cycles, {.core = core, .store = true});
+  allocate(line, cycles, {.core = core, .store = true});
 }
 
 }  // namespace camps::cache

@@ -44,10 +44,6 @@ struct HierarchyConfig {
                  .hit_latency = 6};
   CacheConfig l3{.size_bytes = 16 * 1024 * 1024, .ways = 16, .line_bytes = 64,
                  .hit_latency = 20};
-  /// Maximum outstanding L3 misses (distinct lines). 0 = unlimited (the
-  /// cores' own outstanding-load windows bound demand); a finite value
-  /// defers excess misses until an outstanding fetch completes.
-  u32 mshr_entries = 0;
 };
 
 class CacheHierarchy final {
@@ -86,7 +82,7 @@ class CacheHierarchy final {
   /// Zeroes all cache and latency counters; contents stay warm.
   void reset_stats();
 
-  /// Audits the MSHR file and the deferred-retry list.
+  /// Audits the MSHR file.
   void audit(check::AuditReporter& reporter) const;
 
  private:
@@ -94,22 +90,14 @@ class CacheHierarchy final {
   /// (1/2/3) or 0 for memory, and accumulates lookup latency in `cycles`.
   u32 lookup_path(CoreId core, Addr addr, AccessType type, u32& cycles);
   /// Registers `waiter` for `line`; launches the memory fetch if this is
-  /// the first miss, or defers the whole attempt if the MSHR file is full.
-  void allocate_or_defer(Addr line, u32 lookup_cycles,
-                         const MshrFile::Waiter& waiter);
+  /// the first miss.
+  void allocate(Addr line, u32 lookup_cycles, const MshrFile::Waiter& waiter);
   /// Brings a returned line into the waiter's private levels and, for a
   /// load, completes it.
   void wake(Addr line, const MshrFile::Waiter& waiter);
   void fill_level(Cache& cache, Addr addr, bool dirty, CoreId core,
                   bool is_l3);
   void complete_load(CoreId core, Tick issued);
-
-  /// A miss attempt turned away by a full MSHR file.
-  struct DeferredMiss {
-    Addr line;
-    u32 lookup_cycles;
-    MshrFile::Waiter waiter;
-  };
 
   sim::Simulator& sim_;
   HierarchyConfig cfg_;
@@ -119,8 +107,6 @@ class CacheHierarchy final {
   MshrFile mshrs_;
   MemoryPort* memory_;
   LoadDoneFn on_load_done_;
-  /// Miss attempts rejected by a full MSHR file, retried on completions.
-  std::vector<DeferredMiss> mshr_retry_;
 
   u64 memory_reads_ = 0, memory_writes_ = 0;
   u64 load_latency_cycles_ = 0, loads_completed_ = 0;

@@ -17,10 +17,6 @@ MshrFile::Allocate MshrFile::allocate(Addr line_addr, const Waiter& waiter) {
     ++merges_;
     return Allocate::kMerged;
   }
-  if (max_entries_ != 0 && pending_.size() >= max_entries_) {
-    ++full_rejections_;
-    return Allocate::kFull;
-  }
   pending_[line_addr].push_back(waiter);
   ++allocations_;
   return Allocate::kMustFetch;

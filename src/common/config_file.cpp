@@ -20,7 +20,7 @@ std::string trim(const std::string& s) {
 }
 
 [[noreturn]] void bad_value(const std::string& key, const std::string& value,
-                            const char* type) {
+                            const std::string& type) {
   throw std::runtime_error("config key '" + key + "': value '" + value +
                            "' is not a valid " + type);
 }
@@ -96,14 +96,18 @@ i64 ConfigFile::get_int(const std::string& key, i64 fallback) const {
   return out;
 }
 
-u64 ConfigFile::get_uint(const std::string& key, u64 fallback) const {
+u64 ConfigFile::get_uint(const std::string& key, u64 fallback,
+                         u64 max) const {
   auto it = values_.find(key);
   if (it == values_.end()) return fallback;
   u64 out = 0;
   const auto& v = it->second;
   auto [ptr, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
-  if (ec != std::errc{} || ptr != v.data() + v.size()) {
-    bad_value(key, v, "unsigned integer");
+  if (ec != std::errc{} || ptr != v.data() + v.size() || out > max) {
+    bad_value(key, v,
+              max == ~u64{0}
+                  ? std::string("unsigned integer")
+                  : "unsigned integer up to " + std::to_string(max));
   }
   return out;
 }

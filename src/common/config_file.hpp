@@ -30,11 +30,13 @@ class ConfigFile {
 
   /// Typed getters: return the parsed value, or `fallback` when the key is
   /// absent. Throw std::runtime_error when the key exists but does not
-  /// parse as the requested type.
+  /// parse as the requested type (or, for get_uint, exceeds `max` — pass
+  /// the field's limit so a narrowing store cannot wrap).
   std::string get_string(const std::string& key,
                          const std::string& fallback = "") const;
   i64 get_int(const std::string& key, i64 fallback = 0) const;
-  u64 get_uint(const std::string& key, u64 fallback = 0) const;
+  u64 get_uint(const std::string& key, u64 fallback = 0,
+               u64 max = ~u64{0}) const;
   double get_double(const std::string& key, double fallback = 0.0) const;
   bool get_bool(const std::string& key, bool fallback = false) const;
 

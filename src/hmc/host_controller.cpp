@@ -1,6 +1,5 @@
 #include "hmc/host_controller.hpp"
 
-#include <string>
 #include <utility>
 
 namespace camps::hmc {
@@ -8,19 +7,16 @@ namespace camps::hmc {
 HostController::HostController(sim::Simulator& sim, const HmcConfig& config,
                                prefetch::SchemeKind scheme,
                                const prefetch::SchemeParams& params,
-                               StatRegistry* stats, ReadDoneFn on_read_done,
+                               StatRegistry& stats, ReadDoneFn on_read_done,
                                obs::TraceRecorder* trace)
     : sim_(sim),
       device_(sim, config, scheme, params, stats,
               [this](const MemRequest& req) { deliver(req); }, trace),
       on_read_done_(std::move(on_read_done)),
-      trace_(trace) {
-  if (stats != nullptr) {
-    h_lat_total_read_ = &stats->histogram("latency.total_read_cycles",
-                                          /*bucket_width=*/32,
-                                          /*num_buckets=*/128);
-  }
-}
+      trace_(trace),
+      h_lat_total_read_(stats.histogram("latency.total_read_cycles",
+                                        /*bucket_width=*/32,
+                                        /*num_buckets=*/128)) {}
 
 u64 HostController::read(Addr addr, CoreId core) {
   MemRequest req;
@@ -75,7 +71,6 @@ void HostController::on_timeout(u64 id) {
     req.core = pending.core;
     req.created = pending.first_created;
     req.poisoned = true;
-    ++poisoned_;
     plan->count_host_poison(sim_.now() - pending.first_created);
     if (trace_ != nullptr) {
       trace_->record(obs::Stage::kHostRead, req.core, req.id,
@@ -87,7 +82,6 @@ void HostController::on_timeout(u64 id) {
   // Linear backoff: the n-th retry waits n backoff periods before
   // re-entering the cube, spacing repeated attempts under a fault burst.
   const Tick backoff = fault_cfg.host_backoff_ticks * pending.attempt;
-  ++retries_;
   plan->count_host_retry();
   reissue(pending, backoff);
 }
@@ -133,8 +127,7 @@ void HostController::deliver(const MemRequest& request) {
   const Pending& pending = it->second;
   const u64 cycles =
       (sim_.now() - pending.first_created) / sim::kCpuTicksPerCycle;
-  latency_.sample(cycles);
-  if (h_lat_total_read_ != nullptr) h_lat_total_read_->sample(cycles);
+  h_lat_total_read_.sample(cycles);
   if (trace_ != nullptr) {
     trace_->record(obs::Stage::kHostRead, request.core, request.id,
                    pending.first_created, sim_.now());
@@ -143,24 +136,13 @@ void HostController::deliver(const MemRequest& request) {
     device_.fault_plan()->count_host_recovery(sim_.now() -
                                               pending.first_created);
   }
-  latency_cycles_total_ += cycles;
-  ++completed_;
   outstanding_.erase(it);
   if (on_read_done_) on_read_done_(request);
 }
 
 void HostController::reset_stats() {
-  latency_.reset();
-  latency_cycles_total_ = 0;
-  reads_ = writes_ = completed_ = 0;
-  poisoned_ = retries_ = 0;
+  reads_ = writes_ = 0;
   device_.reset_stats();
-}
-
-double HostController::mean_read_latency_cycles() const {
-  return completed_ == 0 ? 0.0
-                         : static_cast<double>(latency_cycles_total_) /
-                               static_cast<double>(completed_);
 }
 
 }  // namespace camps::hmc

@@ -33,7 +33,7 @@ class HostController final {
 
   HostController(sim::Simulator& sim, const HmcConfig& config,
                  prefetch::SchemeKind scheme,
-                 const prefetch::SchemeParams& params, StatRegistry* stats,
+                 const prefetch::SchemeParams& params, StatRegistry& stats,
                  ReadDoneFn on_read_done, obs::TraceRecorder* trace = nullptr);
 
   /// Issues a read and returns its request id; the read-done hook reports
@@ -48,20 +48,18 @@ class HostController final {
   HmcDevice& device() { return device_; }
   const HmcDevice& device() const { return device_; }
 
-  // --- latency statistics ----------------------------------------------
+  // --- statistics --------------------------------------------------------
   u64 reads_issued() const { return reads_; }
   u64 writes_issued() const { return writes_; }
-  u64 reads_completed() const { return completed_; }
-  /// Reads completed with the poison marker after retry exhaustion.
-  u64 reads_poisoned() const { return poisoned_; }
-  /// Timeout-driven re-issues (each consumes one unit of retry budget).
-  u64 retries_issued() const { return retries_; }
-  /// Mean read latency in CPU cycles (submission -> delivery).
-  double mean_read_latency_cycles() const;
-  const Histogram& latency_histogram() const { return latency_; }
+  /// Read latency in CPU cycles (submission -> delivery) of every answered
+  /// read: the registry's "latency.total_read_cycles". Its count() is the
+  /// reads completed, its mean() the mean read latency. Retries and
+  /// poisonings are the registry's "fault.host_*" counters.
+  const Histogram& read_latency() const { return h_lat_total_read_; }
 
-  /// Zeroes latency statistics and the device's counters (outstanding
-  /// requests are unaffected); marks the warmup boundary.
+  /// Zeroes the issue counters and the device's member counters
+  /// (outstanding requests are unaffected); marks the warmup boundary.
+  /// Registry entries reset with their StatRegistry.
   void reset_stats();
 
   /// Audits the id/outstanding bookkeeping, then the whole device.
@@ -94,12 +92,9 @@ class HostController final {
   // Keyed lookup/erase only — never iterated for ordered output, so the
   // unspecified iteration order cannot leak into results.
   std::unordered_map<u64, Pending> outstanding_;  // camps-lint: allow(determinism)
-  Histogram latency_{/*bucket_width=*/25, /*num_buckets=*/128};
-  Histogram* h_lat_total_read_ = nullptr;  ///< Registry copy of latency_.
+  Histogram& h_lat_total_read_;
   u64 next_id_ = 1;
-  u64 reads_ = 0, writes_ = 0, completed_ = 0;
-  u64 poisoned_ = 0, retries_ = 0;
-  u64 latency_cycles_total_ = 0;
+  u64 reads_ = 0, writes_ = 0;
 };
 
 static_assert(check::Auditable<HostController>);

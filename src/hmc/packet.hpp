@@ -39,12 +39,4 @@ constexpr u32 flits_for(PacketKind kind) {
   return 1;
 }
 
-struct Packet {
-  PacketKind kind = PacketKind::kReadReq;
-  MemRequest request;   ///< The transaction this packet belongs to.
-  VaultId vault = 0;    ///< Destination (requests) or source (responses).
-
-  u32 flits() const { return flits_for(kind); }
-};
-
 }  // namespace camps::hmc

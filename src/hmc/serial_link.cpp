@@ -30,9 +30,6 @@ u32 LinkDirection::tokens_pending() const {
 }
 
 void LinkDirection::reap(Tick now) {
-  while (!retry_buffer_.empty() && retry_buffer_.front().ack_tick <= now) {
-    retry_buffer_.pop_front();
-  }
   while (!token_returns_.empty() && token_returns_.front().at <= now) {
     tokens_available_ += token_returns_.front().flits;
     token_returns_.pop_front();
@@ -84,7 +81,6 @@ LinkDirection::Transfer LinkDirection::submit(Tick now, u32 flits,
 
   Transfer xfer;
   xfer.start = start;
-  xfer.sequence = seq_next_++;
 
   if (plan_ != nullptr) {
     using fault::Site;
@@ -94,11 +90,9 @@ LinkDirection::Transfer LinkDirection::submit(Tick now, u32 flits,
         fault_upstream_ ? Site::kLinkUpDrop : Site::kLinkDownDrop;
 
     if (plan_->roll(drop_site, fault_unit_)) {
-      // Lost beyond the retry buffer's reach (models retry-buffer overflow
-      // or a persistent lane failure). The link time was spent; the packet
-      // never arrives and is not parked for replay — recovery is the
-      // requester's problem (host timeout path).
-      ++drops_;
+      // Lost beyond replay's reach (models retry-buffer overflow or a
+      // persistent lane failure). The link time was spent; the packet never
+      // arrives — recovery is the requester's problem (host timeout path).
       plan_->count_link_drop();
       xfer.dropped = true;
       if (trace_ != nullptr) {
@@ -114,19 +108,17 @@ LinkDirection::Transfer LinkDirection::submit(Tick now, u32 flits,
       return xfer;
     }
 
-    // CRC-failed attempts replay from the retry buffer: the corruption is
-    // detected at the far end (the delivery flight already in `deliver`),
-    // the retry request travels back (retry_overhead), and the buffered
-    // copy re-serializes behind whatever else the link accepted meanwhile —
-    // delivering the identical flits under the same sequence number, just
-    // later. Each replay re-rolls, so bursty CRC faults compound; the
-    // bound is only a safety net against rate = 1.0 configurations.
+    // CRC-failed attempts replay: the corruption is detected at the far
+    // end (the delivery flight already in `deliver`), the retry request
+    // travels back (retry_overhead), and the copy re-serializes behind
+    // whatever else the link accepted meanwhile — delivering the identical
+    // flits, just later. Each replay re-rolls, so bursty CRC faults
+    // compound; the bound is only a safety net against rate = 1.0
+    // configurations.
     constexpr u32 kMaxReplays = 8;
     const Tick first_deliver = deliver;
     const Tick overhead = plan_->config().link_retry_overhead_ticks;
     while (xfer.replays < kMaxReplays && plan_->roll(crc_site, fault_unit_)) {
-      ++crc_errors_;
-      ++replays_;
       ++xfer.replays;
       plan_->count_crc_error();
       const Tick replay_start = std::max(busy_until_, deliver + overhead);
@@ -135,12 +127,6 @@ LinkDirection::Transfer LinkDirection::submit(Tick now, u32 flits,
       deliver = busy_until_ + p_.flight_ticks;
     }
     if (xfer.replays > 0) plan_->count_replay(deliver - first_deliver);
-
-    // Park the packet until the far end's acknowledgement returns (one
-    // flight after clean delivery). Only maintained under fault injection:
-    // without a plan no replay can ever read it, and the fault-free hot
-    // path stays free of deque churn.
-    retry_buffer_.push_back({xfer.sequence, flits, deliver + p_.flight_ticks});
   }
 
   if (trace_ != nullptr) {

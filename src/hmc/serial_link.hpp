@@ -8,16 +8,18 @@
 // which is conservative for prefetching results (links look slightly more
 // congested than reality, never less). A fixed SerDes+flight latency is
 // added on top.
-// Reliability (fault-injection extension): each direction carries a
-// sequence-numbered retry buffer. Every packet is held until the far end's
-// implicit acknowledgement returns (one flight time after delivery); a
-// CRC-failed transfer is replayed from the buffer — re-serialized after
-// the retry request comes back — so the far end still receives the packet
-// byte-identically, just later. Token-based flow control (link_tokens > 0)
-// models the HMC credit loop: a packet may not start serializing until
-// enough flit credits have returned from previously delivered packets.
-// Both mechanisms are inert (zero cost, zero state) unless a FaultPlan is
-// attached or tokens are configured.
+// Reliability (fault-injection extension): a CRC-failed transfer is
+// replayed — re-serialized once the retry request has travelled back — so
+// the far end still receives the packet, just later. Only the replay's
+// timing is modelled: each failed attempt costs a detection flight, the
+// retry overhead and another serialization, and link time stays charged.
+// An injected drop loses the packet outright (recovery is the requester's
+// host timeout). Token-based flow control (link_tokens > 0) models the HMC
+// credit loop: a packet may not start serializing until enough flit
+// credits have returned from previously delivered packets. Both mechanisms
+// are inert (zero cost, zero state) unless a FaultPlan is attached or
+// tokens are configured; their counts live in the plan's fault.* registry
+// entries.
 #pragma once
 
 #include <deque>
@@ -69,14 +71,12 @@ class LinkDirection {
   struct Transfer {
     Tick start = 0;
     Tick deliver = 0;
-    /// Retry-buffer sequence number assigned to this packet.
-    u64 sequence = 0;
     /// CRC replays this packet needed before clean delivery (0 normally).
     u32 replays = 0;
-    /// The transfer was lost beyond the retry buffer's ability to recover
-    /// (injected unrecoverable fault): `deliver` is meaningless and the
-    /// caller must not forward the packet. Recovery is the requester's
-    /// problem (host timeout path).
+    /// The transfer was lost beyond replay's ability to recover (injected
+    /// unrecoverable fault): `deliver` is meaningless and the caller must
+    /// not forward the packet. Recovery is the requester's problem (host
+    /// timeout path).
     bool dropped = false;
   };
 
@@ -115,13 +115,6 @@ class LinkDirection {
   u64 wakeups() const { return wakeups_; }
   Tick ticks_asleep() const { return ticks_asleep_; }
 
-  // --- reliability statistics (0 unless faults/tokens armed) ------------
-  u64 crc_errors() const { return crc_errors_; }
-  u64 replays() const { return replays_; }
-  u64 drops() const { return drops_; }
-  /// Packets held in the retry buffer awaiting acknowledgement, as of the
-  /// last submit (acks are reaped lazily).
-  size_t retry_buffer_depth() const { return retry_buffer_.size(); }
   /// Flow-control credits currently available (== params.tokens when the
   /// loop is disabled or idle).
   u32 tokens_available() const { return tokens_available_; }
@@ -136,25 +129,16 @@ class LinkDirection {
     packets_carried_ = 0;
     wakeups_ = 0;
     ticks_asleep_ = 0;
-    crc_errors_ = 0;
-    replays_ = 0;
-    drops_ = 0;
   }
 
  private:
-  /// A packet parked in the retry buffer until its ack returns.
-  struct RetryEntry {
-    u64 sequence = 0;
-    u32 flits = 0;
-    Tick ack_tick = 0;  ///< When the far end's acknowledgement arrives.
-  };
   /// Tokens on their way back from a delivered packet.
   struct TokenReturn {
     Tick at = 0;
     u32 flits = 0;
   };
 
-  /// Reaps acknowledged retry entries and returned tokens up to `now`.
+  /// Credits the tokens that have returned by `now`.
   void reap(Tick now);
 
   LinkParams p_;
@@ -171,14 +155,9 @@ class LinkDirection {
   u64 wakeups_ = 0;
   Tick ticks_asleep_ = 0;
 
-  // Reliability state. All empty/zero when faults and tokens are off.
-  u64 seq_next_ = 0;
-  std::deque<RetryEntry> retry_buffer_;   ///< FIFO by ack_tick.
+  // Flow-control state. Empty/zero when tokens are off.
   std::deque<TokenReturn> token_returns_; ///< FIFO by return tick.
   u32 tokens_available_ = 0;  ///< Initialized from p_.tokens.
-  u64 crc_errors_ = 0;
-  u64 replays_ = 0;
-  u64 drops_ = 0;
 };
 
 /// A full-duplex link: requests flow downstream, responses upstream.

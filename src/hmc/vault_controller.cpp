@@ -13,10 +13,19 @@ namespace camps::hmc {
 using dram::RowBufferOutcome;
 using energy::EnergyEvent;
 
+namespace {
+
+/// This vault's registry name for `leaf` ("vault7.rb_hit").
+std::string vault_stat(VaultId id, const char* leaf) {
+  return "vault" + std::to_string(id) + "." + leaf;
+}
+
+}  // namespace
+
 VaultController::VaultController(
     sim::Simulator& sim, VaultId id, u32 banks, const VaultConfig& config,
     std::unique_ptr<prefetch::PrefetchScheme> scheme,
-    energy::EnergyModel* energy, StatRegistry* stats, RespondFn respond,
+    energy::EnergyModel& energy, StatRegistry& stats, RespondFn respond,
     obs::TraceRecorder* trace)
     : sim_(sim),
       id_(id),
@@ -27,6 +36,24 @@ VaultController::VaultController(
       refresh_(cfg_.timing, cfg_.refresh_enabled),
       energy_(energy),
       respond_(std::move(respond)),
+      c_rb_hit_(stats.counter(vault_stat(id, "rb_hit"))),
+      c_rb_empty_(stats.counter(vault_stat(id, "rb_empty"))),
+      c_rb_conflict_(stats.counter(vault_stat(id, "rb_conflict"))),
+      c_buf_hit_(stats.counter(vault_stat(id, "buffer_hit"))),
+      c_prefetch_(stats.counter(vault_stat(id, "prefetch_issued"))),
+      h_queue_wait_(stats.histogram(vault_stat(id, "queue_wait_cycles"),
+                                    /*bucket_width=*/8, /*num_buckets=*/64)),
+      // Shared across vaults: the registry hands back the same histogram
+      // for every vault, so these aggregate device-wide.
+      h_lat_vault_queue_(stats.histogram("latency.vault_queue_cycles",
+                                         /*bucket_width=*/16,
+                                         /*num_buckets=*/128)),
+      h_lat_bank_service_(stats.histogram("latency.bank_service_cycles",
+                                          /*bucket_width=*/8,
+                                          /*num_buckets=*/64)),
+      h_lat_buffer_hit_(stats.histogram("latency.buffer_hit_cycles",
+                                        /*bucket_width=*/2,
+                                        /*num_buckets=*/32)),
       trace_(trace) {
   CAMPS_ASSERT(banks > 0 && banks <= 32);  // scheduler bank bitmask
   CAMPS_ASSERT(cfg_.read_queue > 0 && cfg_.write_queue > 0);
@@ -36,27 +63,6 @@ VaultController::VaultController(
   for (u32 b = 0; b < banks; ++b) banks_.emplace_back(cfg_.timing);
   open_row_refs_.resize(banks);
   buffer_hit_ticks_ = cfg_.buffer.hit_latency * sim::kCpuTicksPerCycle;
-  if (stats != nullptr) {
-    const std::string prefix = "vault" + std::to_string(id_) + ".";
-    c_rb_hit_ = &stats->counter(prefix + "rb_hit");
-    c_rb_empty_ = &stats->counter(prefix + "rb_empty");
-    c_rb_conflict_ = &stats->counter(prefix + "rb_conflict");
-    c_buf_hit_ = &stats->counter(prefix + "buffer_hit");
-    c_prefetch_ = &stats->counter(prefix + "prefetch_issued");
-    h_queue_wait_ = &stats->histogram(prefix + "queue_wait_cycles",
-                                      /*bucket_width=*/8, /*num_buckets=*/64);
-    // Shared across vaults: the registry hands back the same histogram for
-    // every vault, so these aggregate device-wide.
-    h_lat_vault_queue_ = &stats->histogram("latency.vault_queue_cycles",
-                                           /*bucket_width=*/16,
-                                           /*num_buckets=*/128);
-    h_lat_bank_service_ = &stats->histogram("latency.bank_service_cycles",
-                                            /*bucket_width=*/8,
-                                            /*num_buckets=*/64);
-    h_lat_buffer_hit_ = &stats->histogram("latency.buffer_hit_cycles",
-                                          /*bucket_width=*/2,
-                                          /*num_buckets=*/32);
-  }
   for (u32 b = 0; b < banks; ++b) {
     banks_[b].attach_trace(trace_, id_ * banks + b);
   }
@@ -64,9 +70,7 @@ VaultController::VaultController(
 }
 
 void VaultController::reset_stats() {
-  n_rb_hit_ = n_rb_empty_ = n_rb_conflict_ = 0;
   n_reads_ = n_writes_ = 0;
-  n_prefetch_issued_ = n_prefetch_dropped_ = 0;
   n_degrade_flushes_ = 0;
   buffer_.reset_stats();
 }
@@ -75,21 +79,13 @@ void VaultController::degrade_flush() {
   // Drop prefetch work that has not yet touched a bank. Actions whose row
   // copy is already issued keep running: their complete_fetch events are
   // in flight and will insert into the (now empty) buffer harmlessly.
-  for (auto it = actions_.begin(); it != actions_.end();) {
-    if (!it->fetch_issued) {
-      ++n_prefetch_dropped_;
-      it = actions_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  std::erase_if(actions_,
+                [](const PfAction& action) { return !action.fetch_issued; });
   // Evict everything with the normal bookkeeping so usefulness accounting
   // and dirty writebacks stay consistent with ordinary evictions.
   for (const prefetch::EvictedRow& victim : buffer_.flush()) {
     scheme_->on_prefetch_evicted(victim.id, victim.referenced);
-    if (victim.dirty && energy_ != nullptr) {
-      energy_->add(EnergyEvent::kRowWriteback);
-    }
+    if (victim.dirty) energy_.add(EnergyEvent::kRowWriteback);
   }
   scheme_->on_fault_flush();
   ++n_degrade_flushes_;
@@ -183,15 +179,11 @@ bool VaultController::serve_from_buffer(const QueueEntry& entry, u64 cycle,
   const bool predates_insert = entry.enqueue_cycle < *stamp;
   buffer_.access(key, entry.column, entry.req.type,
                  /*fill_touch=*/predates_insert);
-  if (c_buf_hit_ != nullptr) c_buf_hit_->inc();
-  if (energy_ != nullptr) energy_->add(EnergyEvent::kBufferAccess);
-  if (h_lat_buffer_hit_ != nullptr) {
-    h_lat_buffer_hit_->sample(cfg_.buffer.hit_latency);
-  }
-  if (h_lat_vault_queue_ != nullptr) {
-    h_lat_vault_queue_->sample(
-        cpu_cycles_of_dram(cycle - std::min(cycle, entry.enqueue_cycle)));
-  }
+  c_buf_hit_.inc();
+  energy_.add(EnergyEvent::kBufferAccess);
+  h_lat_buffer_hit_.sample(cfg_.buffer.hit_latency);
+  h_lat_vault_queue_.sample(
+      cpu_cycles_of_dram(cycle - std::min(cycle, entry.enqueue_cycle)));
   if (trace_ != nullptr) {
     trace_->record(obs::Stage::kBufferHit, id_, entry.req.id, tick_of(cycle),
                    tick_of(cycle) + buffer_hit_ticks_);
@@ -240,7 +232,7 @@ bool VaultController::refresh_step(u64 cycle) {
     if (s == dram::BankState::kActive || s == dram::BankState::kActivating) {
       if (bank.earliest_precharge(cycle) == cycle) {
         bank.precharge(cycle);
-        if (energy_ != nullptr) energy_->add(EnergyEvent::kPrecharge);
+        energy_.add(EnergyEvent::kPrecharge);
         return true;
       }
       return false;  // must wait for this bank's timing
@@ -251,7 +243,7 @@ bool VaultController::refresh_step(u64 cycle) {
   // All banks precharged: launch the all-bank refresh.
   for (auto& bank : banks_) bank.refresh(cycle);
   refresh_.start(cycle);
-  if (energy_ != nullptr) energy_->add(EnergyEvent::kRefresh);
+  energy_.add(EnergyEvent::kRefresh);
   refresh_draining_ = false;
   return true;
 }
@@ -271,16 +263,13 @@ void VaultController::classify_if_new(QueueEntry& entry, u64 cycle) {
   entry.outcome = banks_[entry.bank].classify(cycle, entry.row);
   switch (entry.outcome) {
     case RowBufferOutcome::kHit:
-      ++n_rb_hit_;
-      if (c_rb_hit_ != nullptr) c_rb_hit_->inc();
+      c_rb_hit_.inc();
       break;
     case RowBufferOutcome::kEmpty:
-      ++n_rb_empty_;
-      if (c_rb_empty_ != nullptr) c_rb_empty_->inc();
+      c_rb_empty_.inc();
       break;
     case RowBufferOutcome::kConflict:
-      ++n_rb_conflict_;
-      if (c_rb_conflict_ != nullptr) c_rb_conflict_->inc();
+      c_rb_conflict_.inc();
       break;
   }
 }
@@ -289,17 +278,10 @@ void VaultController::apply_decision(
     const prefetch::PrefetchDecision& decision, const QueueEntry& entry) {
   if (!decision.any()) return;
   auto enqueue_action = [this](BankId bank, RowId row, bool precharge_after) {
-    const BankRow key{bank, row};
-    if (buffer_.contains(key)) {
-      ++n_prefetch_dropped_;
-      return;
-    }
+    if (buffer_.contains(BankRow{bank, row})) return;
     // Duplicate suppression against already-queued actions.
     for (const auto& action : actions_) {
-      if (action.bank == bank && action.row == row) {
-        ++n_prefetch_dropped_;
-        return;
-      }
+      if (action.bank == bank && action.row == row) return;
     }
     actions_.push_back(PfAction{.bank = bank,
                                 .row = row,
@@ -332,7 +314,7 @@ void VaultController::serve_via_fetch(const QueueEntry& entry, u64 cycle,
                                       bool precharge_after) {
   dram::Bank& bank = banks_[entry.bank];
   const u64 done = bank.fetch_row(cycle, entry.req.id);
-  if (energy_ != nullptr) energy_->add(EnergyEvent::kRowFetch);
+  energy_.add(EnergyEvent::kRowFetch);
 
   const BankId b = entry.bank;
   const RowId row = entry.row;
@@ -418,10 +400,8 @@ bool VaultController::issue_demand_column(u64 cycle) {
 
     note_row_reference(it->bank, it->row, it->column);
     const u64 waited = cycle - std::min(cycle, it->enqueue_cycle);
-    if (h_queue_wait_ != nullptr) h_queue_wait_->sample(waited);
-    if (h_lat_vault_queue_ != nullptr) {
-      h_lat_vault_queue_->sample(cpu_cycles_of_dram(waited));
-    }
+    h_queue_wait_.sample(waited);
+    h_lat_vault_queue_.sample(cpu_cycles_of_dram(waited));
     if (trace_ != nullptr && waited > 0) {
       trace_->record(obs::Stage::kVaultQueue, id_, it->req.id,
                      tick_of(cycle - waited), tick_of(cycle));
@@ -431,7 +411,7 @@ bool VaultController::issue_demand_column(u64 cycle) {
       done = bank.read(cycle, it->req.id);
       ++n_reads_;
       ++inflight_;
-      if (energy_ != nullptr) energy_->add(EnergyEvent::kReadLine);
+      energy_.add(EnergyEvent::kReadLine);
       const MemRequest req = it->req;
       const Tick ready = tick_of(done);
       sim_.schedule_at(ready, [this, req, ready] {
@@ -441,12 +421,10 @@ bool VaultController::issue_demand_column(u64 cycle) {
     } else {
       done = bank.write(cycle, it->req.id);
       ++n_writes_;
-      if (energy_ != nullptr) energy_->add(EnergyEvent::kWriteLine);
+      energy_.add(EnergyEvent::kWriteLine);
       // Posted write: completes silently.
     }
-    if (h_lat_bank_service_ != nullptr) {
-      h_lat_bank_service_->sample(cpu_cycles_of_dram(done - cycle));
-    }
+    h_lat_bank_service_.sample(cpu_cycles_of_dram(done - cycle));
     bus_free_cycle_ = done;
     apply_decision(decision, *it);
     if (cfg_.page_policy == PagePolicy::kClosed && !decision.precharge_after) {
@@ -494,7 +472,7 @@ bool VaultController::advance_demand_bank(u64 cycle) {
             bank.earliest_precharge(cycle) == cycle) {
           classify_if_new(entry, cycle);
           bank.precharge(cycle);
-          if (energy_ != nullptr) energy_->add(EnergyEvent::kPrecharge);
+          energy_.add(EnergyEvent::kPrecharge);
           return true;
         }
         break;
@@ -503,7 +481,7 @@ bool VaultController::advance_demand_bank(u64 cycle) {
           classify_if_new(entry, cycle);
           bank.activate(cycle, entry.row, entry.req.id);
           record_act(cycle);
-          if (energy_ != nullptr) energy_->add(EnergyEvent::kActivate);
+          energy_.add(EnergyEvent::kActivate);
           return true;
         }
         break;
@@ -530,13 +508,10 @@ void VaultController::complete_fetch(BankId bank, RowId row,
   const auto result =
       buffer_.insert(BankRow{bank, row}, seed_bitmap, issue_cycle);
   if (!result.inserted) return;
-  ++n_prefetch_issued_;
-  if (c_prefetch_ != nullptr) c_prefetch_->inc();
+  c_prefetch_.inc();
   if (result.victim) {
     scheme_->on_prefetch_evicted(result.victim->id, result.victim->referenced);
-    if (result.victim->dirty && energy_ != nullptr) {
-      energy_->add(EnergyEvent::kRowWriteback);
-    }
+    if (result.victim->dirty) energy_.add(EnergyEvent::kRowWriteback);
   }
 }
 
@@ -563,7 +538,7 @@ bool VaultController::issue_prefetch(u64 cycle) {
         }
         if (!demanded && bank.earliest_precharge(cycle) == cycle) {
           bank.precharge(cycle);
-          if (energy_ != nullptr) energy_->add(EnergyEvent::kPrecharge);
+          energy_.add(EnergyEvent::kPrecharge);
           actions_.erase(it);
           return true;
         }
@@ -578,7 +553,6 @@ bool VaultController::issue_prefetch(u64 cycle) {
     }
 
     if (buffer_.contains(BankRow{action.bank, action.row})) {
-      ++n_prefetch_dropped_;
       it = actions_.erase(it);
       continue;
     }
@@ -589,7 +563,7 @@ bool VaultController::issue_prefetch(u64 cycle) {
           const u64 start = bank.earliest_column(cycle);
           if (start == cycle) {
             const u64 done = bank.fetch_row(cycle);
-            if (energy_ != nullptr) energy_->add(EnergyEvent::kRowFetch);
+            energy_.add(EnergyEvent::kRowFetch);
             const BankId b = action.bank;
             const RowId r = action.row;
             const u64 seed = row_reference_bitmap(b, r);
@@ -618,7 +592,7 @@ bool VaultController::issue_prefetch(u64 cycle) {
           }
           if (!demanded && bank.earliest_precharge(cycle) == cycle) {
             bank.precharge(cycle);
-            if (energy_ != nullptr) energy_->add(EnergyEvent::kPrecharge);
+            energy_.add(EnergyEvent::kPrecharge);
             return true;
           }
         }
@@ -629,7 +603,7 @@ bool VaultController::issue_prefetch(u64 cycle) {
         if (bank.earliest_activate(cycle) == cycle && act_allowed(cycle)) {
           bank.activate(cycle, action.row);
           record_act(cycle);
-          if (energy_ != nullptr) energy_->add(EnergyEvent::kActivate);
+          energy_.add(EnergyEvent::kActivate);
           return true;
         }
         ++it;

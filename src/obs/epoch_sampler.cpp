@@ -79,12 +79,4 @@ std::string EpochSampler::series_json(const std::vector<EpochSample>& samples,
   return w.str();
 }
 
-void EpochSampler::write_csv(const std::string& path) const {
-  write_text_file(path, to_csv());
-}
-
-void EpochSampler::write_json(const std::string& path) const {
-  write_text_file(path, to_json(2));
-}
-
 }  // namespace camps::obs

@@ -55,21 +55,13 @@ class EpochSampler {
 
   const std::vector<EpochSample>& samples() const { return samples_; }
 
-  /// CSV rendering, one fixed header row plus one row per epoch.
-  std::string to_csv() const { return series_csv(samples_); }
-  /// JSON rendering: {"epoch_ticks": N, "samples": [{...}, ...]}.
-  std::string to_json(int indent = 0) const {
-    return series_json(samples_, epoch_ticks_, indent);
-  }
-
-  // Static variants for callers holding a sample vector without a sampler
-  // (RunResults carries the series across the sweep cache).
+  // Renderings of a sample series (RunResults carries the series across
+  // the sweep cache, so these take the vector, not a sampler).
+  /// CSV: one fixed header row plus one row per epoch.
   static std::string series_csv(const std::vector<EpochSample>& samples);
+  /// JSON: {"epoch_ticks": N, "samples": [{...}, ...]}.
   static std::string series_json(const std::vector<EpochSample>& samples,
                                  Tick epoch_ticks, int indent = 0);
-
-  void write_csv(const std::string& path) const;
-  void write_json(const std::string& path) const;
 
  private:
   void fire();

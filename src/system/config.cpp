@@ -109,43 +109,43 @@ SystemConfig apply_overrides(SystemConfig base, const ConfigFile& cfg) {
       "fault.seed",
   };
   cfg.require_known(kKnownKeys);
+  // u32 fields: a value past their range is rejected, naming the key,
+  // instead of wrapping.
+  auto get_u32 = [&cfg](const char* key, u32 fallback) {
+    return static_cast<u32>(cfg.get_uint(key, fallback, ~u32{0}));
+  };
 
-  base.cores = static_cast<u32>(cfg.get_uint("cores", base.cores));
+  base.cores = get_u32("cores", base.cores);
   base.seed = cfg.get_uint("seed", base.seed);
   base.max_cycles = cfg.get_uint("max_cycles", base.max_cycles);
   base.audit_every = cfg.get_uint("audit_every", base.audit_every);
 
-  base.core.issue_width = static_cast<u32>(
-      cfg.get_uint("core.issue_width", base.core.issue_width));
-  base.core.max_outstanding_loads = static_cast<u32>(
-      cfg.get_uint("core.max_outstanding", base.core.max_outstanding_loads));
+  base.core.issue_width = get_u32("core.issue_width", base.core.issue_width);
+  base.core.max_outstanding_loads =
+      get_u32("core.max_outstanding", base.core.max_outstanding_loads);
   base.core.warmup_instructions =
       cfg.get_uint("core.warmup", base.core.warmup_instructions);
   base.core.measure_instructions =
       cfg.get_uint("core.measure", base.core.measure_instructions);
 
-  base.hmc.geometry.vaults =
-      static_cast<u32>(cfg.get_uint("hmc.vaults", base.hmc.geometry.vaults));
-  base.hmc.geometry.banks_per_vault = static_cast<u32>(
-      cfg.get_uint("hmc.banks", base.hmc.geometry.banks_per_vault));
-  base.hmc.num_links =
-      static_cast<u32>(cfg.get_uint("hmc.links", base.hmc.num_links));
+  base.hmc.geometry.vaults = get_u32("hmc.vaults", base.hmc.geometry.vaults);
+  base.hmc.geometry.banks_per_vault =
+      get_u32("hmc.banks", base.hmc.geometry.banks_per_vault);
+  base.hmc.num_links = get_u32("hmc.links", base.hmc.num_links);
   base.hmc.geometry.rows_per_bank =
       cfg.get_uint("hmc.rows_per_bank", base.hmc.geometry.rows_per_bank);
 
-  base.hmc.vault.buffer.entries = static_cast<u32>(
-      cfg.get_uint("buffer.entries", base.hmc.vault.buffer.entries));
+  base.hmc.vault.buffer.entries =
+      get_u32("buffer.entries", base.hmc.vault.buffer.entries);
   base.hmc.vault.buffer.hit_latency =
       cfg.get_uint("buffer.hit_latency", base.hmc.vault.buffer.hit_latency);
 
-  base.scheme_params.camps.utilization_threshold = static_cast<u32>(
-      cfg.get_uint("camps.threshold",
-                   base.scheme_params.camps.utilization_threshold));
-  base.scheme_params.camps.conflict_entries = static_cast<u32>(
-      cfg.get_uint("camps.conflict_entries",
-                   base.scheme_params.camps.conflict_entries));
-  base.scheme_params.mmd.max_degree = static_cast<u32>(
-      cfg.get_uint("mmd.max_degree", base.scheme_params.mmd.max_degree));
+  prefetch::SchemeParams& sp = base.scheme_params;
+  sp.camps.utilization_threshold =
+      get_u32("camps.threshold", sp.camps.utilization_threshold);
+  sp.camps.conflict_entries =
+      get_u32("camps.conflict_entries", sp.camps.conflict_entries);
+  sp.mmd.max_degree = get_u32("mmd.max_degree", sp.mmd.max_degree);
 
   if (cfg.has("scheme")) {
     base.scheme = prefetch::scheme_from_string(cfg.get_string("scheme"));
@@ -163,12 +163,10 @@ SystemConfig apply_overrides(SystemConfig base, const ConfigFile& cfg) {
       cfg.get_uint("fault.host_timeout_ticks", f.host_timeout_ticks);
   f.host_backoff_ticks =
       cfg.get_uint("fault.host_backoff_ticks", f.host_backoff_ticks);
-  f.host_retry_budget = static_cast<u32>(
-      cfg.get_uint("fault.retry_budget", f.host_retry_budget));
-  f.vault_degrade_threshold = static_cast<u32>(
-      cfg.get_uint("fault.degrade_threshold", f.vault_degrade_threshold));
-  f.link_tokens =
-      static_cast<u32>(cfg.get_uint("fault.link_tokens", f.link_tokens));
+  f.host_retry_budget = get_u32("fault.retry_budget", f.host_retry_budget);
+  f.vault_degrade_threshold =
+      get_u32("fault.degrade_threshold", f.vault_degrade_threshold);
+  f.link_tokens = get_u32("fault.link_tokens", f.link_tokens);
   f.seed = cfg.get_uint("fault.seed", f.seed);
   return base;
 }

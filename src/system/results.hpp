@@ -41,7 +41,7 @@ struct LatencyBreakdown {
 struct FaultSummary {
   bool active = false;
   u64 crc_errors = 0;       ///< Link transfers that failed CRC.
-  u64 replays = 0;          ///< Packets re-delivered from a retry buffer.
+  u64 replays = 0;          ///< Packets re-serialized after a CRC error.
   u64 link_drops = 0;       ///< Transfers lost beyond replay.
   u64 xbar_drops = 0;       ///< Crossbar grants dropped.
   u64 vault_stalls = 0;     ///< Vault responses delayed by a stall fault.

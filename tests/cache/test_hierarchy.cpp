@@ -40,22 +40,20 @@ struct Harness {
   std::vector<std::pair<CoreId, Tick>> loads_done;
   CacheHierarchy hier;
 
-  explicit Harness(u32 cores = 2, u32 mshr_entries = 0,
-                   u64 memory_cycles = 600)
-      : memory(sim, memory_cycles * sim::kCpuTicksPerCycle),
-        cfg(small_config(mshr_entries)),
-        hier(sim, cfg, cores, &memory, [this](CoreId core) {
+  Harness()
+      : memory(sim, 600 * sim::kCpuTicksPerCycle),
+        cfg(small_config()),
+        hier(sim, cfg, /*cores=*/2, &memory, [this](CoreId core) {
           loads_done.emplace_back(core, sim.now());
         }) {
     memory.hier = &hier;
   }
 
-  static HierarchyConfig small_config(u32 mshr_entries = 0) {
+  static HierarchyConfig small_config() {
     HierarchyConfig cfg;
     cfg.l1 = CacheConfig{1024, 2, 64, 2};
     cfg.l2 = CacheConfig{4096, 4, 64, 6};
     cfg.l3 = CacheConfig{16384, 4, 64, 20};
-    cfg.mshr_entries = mshr_entries;
     return cfg;
   }
 
@@ -187,35 +185,6 @@ TEST(Hierarchy, ResetStatsKeepsWarmContents) {
   EXPECT_EQ(h.hier.memory_reads(), 0u);
   EXPECT_EQ(h.hier.loads_completed(), 0u);
   EXPECT_EQ(h.timed_read(0, 0x70000), 2u) << "contents stay warm";
-}
-
-TEST(Hierarchy, FiniteMshrsDeferButComplete) {
-  Harness h(/*cores=*/1, /*mshr_entries=*/2, /*memory_cycles=*/500);
-  // Eight distinct-line misses with only two MSHRs: at most two fetches
-  // may ever be outstanding, yet all loads must complete.
-  for (int i = 0; i < 8; ++i) {
-    h.hier.read(0, 0x100000 + 64 * static_cast<Addr>(i));
-    EXPECT_LE(h.hier.mshrs().entries_in_use(), 2u);
-  }
-  EXPECT_GT(h.hier.mshrs().full_rejections(), 0u);
-  h.sim.run();
-  EXPECT_EQ(h.loads_done.size(), 8u);
-  EXPECT_EQ(h.memory.reads.size(), 8u);
-}
-
-TEST(Hierarchy, FiniteMshrsSerializeMemoryTraffic) {
-  Harness h(/*cores=*/1, /*mshr_entries=*/1, /*memory_cycles=*/500);
-  h.hier.read(0, 0x200000);
-  h.hier.read(0, 0x300000);
-  h.sim.run();
-  ASSERT_EQ(h.loads_done.size(), 2u);
-  const Tick first_done = h.loads_done[0].second;
-  const Tick second_done = h.loads_done[1].second;
-  // With one MSHR the second fetch cannot overlap the first.
-  EXPECT_GE(second_done - first_done, 500 * sim::kCpuTicksPerCycle * 9 / 10);
-  ASSERT_EQ(h.memory.reads.size(), 2u);
-  EXPECT_EQ(h.memory.reads[0].first, 0x200000u);
-  EXPECT_EQ(h.memory.reads[1].first, 0x300000u);
 }
 
 TEST(Hierarchy, MergedStoreAndLoadMissesWakeInArrivalOrder) {

@@ -155,7 +155,7 @@ TEST(CleanAudit, PrefetchBufferAndMshr) {
                                   prefetch::Replacement::kLru);
   for (u32 r = 0; r < 6; ++r) buffer.insert(BankRow{0, r});
   buffer.access(BankRow{0, 4}, 3, AccessType::kRead);
-  cache::MshrFile mshrs(8);
+  cache::MshrFile mshrs;
   mshrs.allocate(0x1000, {});
   mshrs.allocate(0x1000, {});
   AuditReporter rep;

@@ -69,6 +69,13 @@ TEST(ConfigFile, BadIntThrows) {
   EXPECT_THROW(cfg.get_int("x"), std::runtime_error);
 }
 
+TEST(ConfigFile, UintAboveMaxThrows) {
+  auto cfg = ConfigFile::parse("x = 300\n");
+  EXPECT_EQ(cfg.get_uint("x", 0, 300), 300u);
+  EXPECT_THROW(cfg.get_uint("x", 0, 255), std::runtime_error);
+  EXPECT_EQ(cfg.get_uint("absent", 7, 5), 7u) << "the fallback is not checked";
+}
+
 TEST(ConfigFile, BadBoolThrows) {
   auto cfg = ConfigFile::parse("x = maybe\n");
   EXPECT_THROW(cfg.get_bool("x"), std::runtime_error);

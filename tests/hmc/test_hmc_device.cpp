@@ -19,7 +19,7 @@ struct DeviceHarness {
       HmcConfig cfg = {}) {
     cfg.vault.refresh_enabled = false;  // determinism for latency asserts
     host = std::make_unique<HostController>(
-        sim, cfg, scheme, prefetch::SchemeParams{}, &stats,
+        sim, cfg, scheme, prefetch::SchemeParams{}, stats,
         [this](const MemRequest& req) { done.push_back(req); });
   }
 };
@@ -32,7 +32,7 @@ TEST(HostController, ReadCompletesWithCallback) {
   EXPECT_EQ(h.done[0].id, id);
   EXPECT_EQ(h.done[0].addr, 0x1000u);
   EXPECT_FALSE(h.done[0].poisoned);
-  EXPECT_EQ(h.host->reads_completed(), 1u);
+  EXPECT_EQ(h.host->read_latency().count(), 1u);
   EXPECT_TRUE(h.host->idle());
 }
 
@@ -42,8 +42,8 @@ TEST(HostController, EndToEndLatencyIncludesLinksAndDram) {
   h.sim.run();
   // Round trip: link ser+flight (~4.7 ns) + xbar (2.5) + ACT+RD (32.5 ns)
   // + xbar + response link (~7.2 ns) => > 45 ns => > 135 CPU cycles.
-  EXPECT_GT(h.host->mean_read_latency_cycles(), 135.0);
-  EXPECT_LT(h.host->mean_read_latency_cycles(), 400.0);
+  EXPECT_GT(h.host->read_latency().mean(), 135.0);
+  EXPECT_LT(h.host->read_latency().mean(), 400.0);
 }
 
 TEST(HostController, WritesArePosted) {
@@ -51,7 +51,7 @@ TEST(HostController, WritesArePosted) {
   h.host->write(0x2000, 1);
   h.sim.run();
   EXPECT_EQ(h.host->writes_issued(), 1u);
-  EXPECT_EQ(h.host->reads_completed(), 0u);
+  EXPECT_EQ(h.host->read_latency().count(), 0u);
   EXPECT_TRUE(h.host->idle());
 }
 
@@ -64,7 +64,7 @@ TEST(HostController, ManyReadsAllComplete) {
   }
   h.sim.run();
   EXPECT_EQ(h.done.size(), 1000u);
-  EXPECT_EQ(h.host->reads_completed(), 1000u);
+  EXPECT_EQ(h.host->read_latency().count(), 1000u);
   EXPECT_TRUE(h.host->idle());
 }
 
@@ -74,18 +74,24 @@ TEST(HostController, LatencyHistogramPopulated) {
     h.host->read(static_cast<Addr>(i) * 4096, 0);
   }
   h.sim.run();
-  EXPECT_EQ(h.host->latency_histogram().count(), 50u);
-  EXPECT_GT(h.host->latency_histogram().mean(), 0.0);
+  EXPECT_EQ(h.host->read_latency().count(), 50u);
+  EXPECT_GT(h.host->read_latency().mean(), 0.0);
+  EXPECT_EQ(h.stats.find_histogram("latency.total_read_cycles"),
+            &h.host->read_latency())
+      << "the host keeps no latency store besides the registry's";
 }
 
 TEST(HostController, ResetStatsClearsLatency) {
   DeviceHarness h;
   h.host->read(0, 0);
   h.sim.run();
+  // The warmup boundary, as System opens it: member counters, then the
+  // registry.
   h.host->reset_stats();
-  EXPECT_EQ(h.host->reads_completed(), 0u);
-  EXPECT_EQ(h.host->latency_histogram().count(), 0u);
-  EXPECT_DOUBLE_EQ(h.host->mean_read_latency_cycles(), 0.0);
+  EXPECT_EQ(h.host->reads_issued(), 0u);
+  h.stats.reset();
+  EXPECT_EQ(h.host->read_latency().count(), 0u);
+  EXPECT_DOUBLE_EQ(h.host->read_latency().mean(), 0.0);
 }
 
 TEST(HmcDevice, RequestsRouteToCorrectVault) {
@@ -120,10 +126,10 @@ TEST(HmcDevice, AggregatesSumOverVaults) {
     h.host->read(map.encode(d), 0);
   }
   h.sim.run();
-  EXPECT_EQ(h.host->device().total_row_empties(), 8u);
-  EXPECT_EQ(h.host->device().total_row_hits() +
-                h.host->device().total_row_conflicts(),
-            0u);
+  const DeviceTotals t = h.host->device().totals();
+  EXPECT_EQ(t.row_empties, 8u);
+  EXPECT_EQ(t.row_hits + t.row_conflicts, 0u);
+  EXPECT_DOUBLE_EQ(t.row_conflict_rate, 0.0);
 }
 
 TEST(HmcDevice, EnergyAccumulatesLinkAndDramEvents) {
@@ -142,8 +148,9 @@ TEST(HmcDevice, PrefetchAccuracyZeroWithoutPrefetching) {
   DeviceHarness h(prefetch::SchemeKind::kNone);
   h.host->read(0x40, 0);
   h.sim.run();
-  EXPECT_DOUBLE_EQ(h.host->device().prefetch_accuracy(), 0.0);
-  EXPECT_EQ(h.host->device().total_prefetches(), 0u);
+  const DeviceTotals t = h.host->device().totals();
+  EXPECT_DOUBLE_EQ(t.prefetch_accuracy, 0.0);
+  EXPECT_EQ(t.prefetches, 0u);
 }
 
 TEST(HmcDevice, BaseSchemePrefetchesAcrossVaults) {
@@ -154,8 +161,10 @@ TEST(HmcDevice, BaseSchemePrefetchesAcrossVaults) {
     h.host->read((x % (u64{1} << 30)) & ~u64{63}, 0);
   }
   h.sim.run();
-  EXPECT_GT(h.host->device().total_prefetches(), 100u);
-  EXPECT_EQ(h.host->device().total_row_conflicts(), 0u);
+  const DeviceTotals t = h.host->device().totals();
+  EXPECT_GT(t.prefetches, 100u);
+  EXPECT_EQ(t.row_conflicts, 0u);
+  EXPECT_EQ(t.prefetches, h.stats.sum_matching("vault*.prefetch_issued"));
 }
 
 TEST(HmcDevice, ConflictRateComputedOverAllOutcomes) {
@@ -173,7 +182,7 @@ TEST(HmcDevice, ConflictRateComputedOverAllOutcomes) {
                       [&h, addr] { h.host->read(addr, 0); });
   }
   h.sim.run();
-  const double rate = h.host->device().row_conflict_rate();
+  const double rate = h.host->device().totals().row_conflict_rate;
   EXPECT_GT(rate, 0.5);
   EXPECT_LE(rate, 1.0);
 }

@@ -45,7 +45,7 @@ TEST_P(ProtocolSoak, InvariantsHold) {
   // Every read completes through the host's one read-done hook, keyed by
   // request id. The hook only fires from the event loop, after read() has
   // returned and its id was recorded in `submitted`.
-  HostController host(sim, cfg, c.scheme, prefetch::SchemeParams{}, &stats,
+  HostController host(sim, cfg, c.scheme, prefetch::SchemeParams{}, stats,
                       [&](const MemRequest& req) {
                         ++responses[req.id];
                         completed_at[req.id] = sim.now();
@@ -96,7 +96,7 @@ TEST_P(ProtocolSoak, InvariantsHold) {
 
   sim.run_until(t + 200 * 60 + 50'000'000);
 
-  EXPECT_EQ(host.reads_completed(), issued) << "every read answered";
+  EXPECT_EQ(host.read_latency().count(), issued) << "every read answered";
   EXPECT_TRUE(host.idle()) << "device must drain";
   for (const auto& [id, count] : responses) {
     EXPECT_EQ(count, 1u) << "request " << id << " answered " << count

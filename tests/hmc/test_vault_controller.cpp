@@ -14,6 +14,8 @@ namespace {
 
 struct Harness {
   sim::Simulator sim;
+  energy::EnergyModel energy;
+  StatRegistry stats;
   std::vector<std::pair<u64, Tick>> responses;  // (request id, ready tick)
   std::unique_ptr<VaultController> vault;
   u64 next_id = 1;
@@ -28,7 +30,7 @@ struct Harness {
     const u32 banks = HmcGeometry{}.banks_per_vault;
     vault = std::make_unique<VaultController>(
         sim, 0, banks, cfg, prefetch::make_scheme(scheme, banks, params),
-        nullptr, nullptr, [this](const MemRequest& req, Tick ready) {
+        energy, stats, [this](const MemRequest& req, Tick ready) {
           responses.emplace_back(req.id, ready);
         });
   }
@@ -261,9 +263,13 @@ TEST(VaultController, StatsResetKeepsState) {
   h.submit(0, 5, 0);
   h.run();
   ASSERT_EQ(h.vault->prefetches_issued(), 1u);
+  ASSERT_EQ(h.vault->demand_reads(), 1u);
+  // The warmup boundary, as System opens it: member counters, then the
+  // registry.
   h.vault->reset_stats();
-  EXPECT_EQ(h.vault->prefetches_issued(), 0u);
   EXPECT_EQ(h.vault->demand_reads(), 0u);
+  h.stats.reset();
+  EXPECT_EQ(h.vault->prefetches_issued(), 0u);
   EXPECT_TRUE(h.vault->buffer().contains(BankRow{0, 5}))
       << "buffer contents survive a stats reset";
 }

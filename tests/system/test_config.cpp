@@ -115,6 +115,30 @@ TEST(SystemConfig, MisspelledKeyFailsLoudly) {
   }
 }
 
+TEST(SystemConfig, ValuePastItsFieldRangeFailsNamingTheKey) {
+  // Regression: u32 fields used to take the low 32 bits of a larger value,
+  // so hmc.banks = 2^32+16 quietly built a 16-bank cube and cores = 2^32+1
+  // became one core.
+  for (const char* line :
+       {"hmc.banks = 4294967312\n", "cores = 4294967297\n",
+        "fault.link_tokens = 4294967296\n"}) {
+    const auto cfg = ConfigFile::parse(line);
+    const std::string key = cfg.keys().front();
+    try {
+      apply_overrides(table1_config(), cfg);
+      FAIL() << "accepted " << line;
+    } catch (const std::runtime_error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("'" + key + "'"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("up to 4294967295"), std::string::npos) << msg;
+    }
+  }
+  // The largest u32 itself is still in range (validate() judges it).
+  const SystemConfig out = apply_overrides(
+      table1_config(), ConfigFile::parse("camps.threshold = 4294967295\n"));
+  EXPECT_EQ(out.scheme_params.camps.utilization_threshold, 4294967295u);
+}
+
 TEST(SystemConfig, FaultOverridesApply) {
   auto cfg = ConfigFile::parse(
       "[fault]\n"

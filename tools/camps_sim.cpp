@@ -43,6 +43,7 @@
 #include "common/log.hpp"
 #include "obs/chrome_trace.hpp"
 #include "system/system.hpp"
+#include "workload/workloads.hpp"
 
 namespace {
 
@@ -172,10 +173,18 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  // A config file that is unreadable, malformed, names an unknown key or
+  // holds a value out of its field's range is a usage error.
   try {
     if (!config_path.empty()) {
       cfg = system::apply_overrides(cfg, ConfigFile::load(config_path));
     }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+    return 2;
+  }
+
+  try {
     // Command-line flags win over the config file.
     if (!scheme_override.empty()) {
       cfg.scheme = prefetch::scheme_from_string(scheme_override);
@@ -200,7 +209,13 @@ int main(int argc, char** argv) {
 
     // Values a component constructor would assert on fail here instead,
     // as a usage error naming the config key.
-    const std::vector<std::string> errors = cfg.validate();
+    std::vector<std::string> errors = cfg.validate();
+    if (cfg.cores != workload::kCoresPerWorkload) {
+      errors.push_back("cores = " + std::to_string(cfg.cores) +
+                       ": workload " + workload + " runs " +
+                       std::to_string(workload::kCoresPerWorkload) +
+                       " cores");
+    }
     if (!errors.empty()) {
       for (const auto& e : errors) {
         std::fprintf(stderr, "%s: %s\n", argv[0], e.c_str());
