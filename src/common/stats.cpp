@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <functional>
 #include <sstream>
 #include <string>
 
@@ -43,23 +42,6 @@ void Histogram::reset() {
   count_ = sum_ = min_ = max_ = 0;
 }
 
-void Histogram::merge_from(const Histogram& other) {
-  CAMPS_ASSERT_MSG(bucket_width_ == other.bucket_width_ &&
-                       buckets_.size() == other.buckets_.size(),
-                   "histogram merge requires identical geometry");
-  if (other.count_ == 0) return;
-  for (size_t i = 0; i < buckets_.size(); ++i) buckets_[i] += other.buckets_[i];
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-}
-
 Counter& StatRegistry::counter(const std::string& name) {
   return counters_[name];
 }
@@ -71,11 +53,6 @@ Histogram& StatRegistry::histogram(const std::string& name, u64 bucket_width,
     it = histograms_.emplace(name, Histogram(bucket_width, num_buckets)).first;
   }
   return it->second;
-}
-
-void StatRegistry::add_formula(const std::string& name,
-                               std::function<double()> fn) {
-  formulas_[name] = std::move(fn);
 }
 
 u64 StatRegistry::counter_value(const std::string& name) const {
@@ -120,9 +97,6 @@ std::string StatRegistry::dump() const {
         << " min=" << h.min() << " max=" << h.max()
         << " p50=" << h.percentile(50) << " p99=" << h.percentile(99) << "}\n";
   }
-  for (const auto& [name, fn] : formulas_) {
-    out << name << " = " << fn() << '\n';
-  }
   return out.str();
 }
 
@@ -154,10 +128,6 @@ std::string StatRegistry::dump_json(int indent) const {
     w.end_object();
   }
   w.end_object();
-  w.key("formulas");
-  w.begin_object();
-  for (const auto& [name, fn] : formulas_) w.field(name, fn());
-  w.end_object();
   w.end_object();
   return w.str();
 }
@@ -165,22 +135,6 @@ std::string StatRegistry::dump_json(int indent) const {
 void StatRegistry::reset() {
   for (auto& [_, c] : counters_) c.reset();
   for (auto& [_, h] : histograms_) h.reset();
-}
-
-void StatRegistry::merge_from(const StatRegistry& other) {
-  for (const auto& [name, c] : other.counters_) {
-    counters_[name].merge_from(c);
-  }
-  for (const auto& [name, h] : other.histograms_) {
-    auto it = histograms_.find(name);
-    if (it == histograms_.end()) {
-      it = histograms_
-               .emplace(name, Histogram(h.bucket_width(),
-                                        static_cast<u32>(h.buckets().size() - 1)))
-               .first;
-    }
-    it->second.merge_from(h);
-  }
 }
 
 }  // namespace camps

@@ -1,13 +1,13 @@
 // Lightweight statistics framework.
 //
 // Every simulator component registers named counters and histograms with a
-// StatRegistry. The registry renders a stable, alphabetically sorted dump
-// and supports derived "formula" stats evaluated at dump time (e.g. IPC,
-// prefetch accuracy) so the raw counters stay cheap on the hot path.
+// StatRegistry. The registry renders a stable, alphabetically sorted dump.
+// Derived values (IPC, prefetch accuracy) are computed from the raw counters
+// when a run's results are collected, so the counters stay cheap on the hot
+// path.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -22,9 +22,6 @@ class Counter {
   void inc(u64 by = 1) { value_ += by; }
   u64 value() const { return value_; }
   void reset() { value_ = 0; }
-
-  /// Adds `other`'s count to this one (for cross-instance aggregation).
-  void merge_from(const Counter& other) { value_ += other.value_; }
 
  private:
   u64 value_ = 0;
@@ -65,11 +62,6 @@ class Histogram {
   u64 bucket_width() const { return bucket_width_; }
   void reset();
 
-  /// Adds `other`'s samples to this histogram. Requires identical geometry
-  /// (bucket width and count) — merging across differently shaped
-  /// histograms would silently misbucket.
-  void merge_from(const Histogram& other);
-
  private:
   u64 bucket_width_;
   int shift_;  // log2(bucket_width_) when a power of two, else -1
@@ -88,9 +80,6 @@ class StatRegistry {
   Histogram& histogram(const std::string& name, u64 bucket_width = 16,
                        u32 num_buckets = 64);
 
-  /// Derived value computed at dump time from other stats.
-  void add_formula(const std::string& name, std::function<double()> fn);
-
   /// Returns the counter value, or 0 if it was never registered.
   u64 counter_value(const std::string& name) const;
   bool has_counter(const std::string& name) const;
@@ -107,27 +96,17 @@ class StatRegistry {
   std::string dump() const;
 
   /// Machine-readable registry dump: {"counters": {...}, "histograms":
-  /// {name: {count,sum,min,max,mean,p50,p95,p99,bucket_width,buckets}},
-  /// "formulas": {...}}. Names sort alphabetically and doubles render
-  /// shortest-round-trip, so the output is byte-stable across runs and
-  /// --jobs settings (see common/json.hpp).
+  /// {name: {count,sum,min,max,mean,p50,p95,p99,bucket_width,buckets}}}.
+  /// Names sort alphabetically and doubles render shortest-round-trip, so
+  /// the output is byte-stable across runs and --jobs settings (see
+  /// common/json.hpp).
   std::string dump_json(int indent = 0) const;
 
   void reset();
 
-  /// Folds every counter and histogram of `other` into this registry,
-  /// creating entries that don't exist yet. Counters add; histograms
-  /// require matching geometry. Formulas are NOT merged: they capture
-  /// references into their own registry, so each System re-registers them.
-  /// This is what makes per-worker registries safe to aggregate after a
-  /// parallel sweep without double-counting — each worker owns a private
-  /// registry and the merge happens exactly once, under the caller's lock.
-  void merge_from(const StatRegistry& other);
-
  private:
   std::map<std::string, Counter> counters_;
   std::map<std::string, Histogram> histograms_;
-  std::map<std::string, std::function<double()>> formulas_;
 };
 
 }  // namespace camps

@@ -2,6 +2,7 @@
 
 #include <memory>
 
+#include "common/assert.hpp"
 #include "sim/clock.hpp"
 
 namespace camps::hmc {

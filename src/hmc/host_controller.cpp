@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "common/assert.hpp"
+
 namespace camps::hmc {
 
 HostController::HostController(sim::Simulator& sim, const HmcConfig& config,

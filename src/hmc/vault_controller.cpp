@@ -6,6 +6,7 @@
 #include <optional>
 #include <string>
 
+#include "common/assert.hpp"
 #include "prefetch/scheme_camps.hpp"
 
 namespace camps::hmc {
@@ -101,7 +102,8 @@ void VaultController::receive(const MemRequest& request,
   entry.column = addr.column;
   entry.enqueue_cycle = cycle_of(now);
   ingress_.push_back(entry);
-  schedule_wake_at_cycle(cycle_of(sim::dram_clock().next_edge(now)));
+  schedule_wake_at_cycle(
+      cycle_of(sim::next_edge(now, sim::kDramTicksPerCycle)));
 }
 
 bool VaultController::idle() const {
@@ -111,7 +113,9 @@ bool VaultController::idle() const {
 
 void VaultController::schedule_wake_at_cycle(u64 cycle) {
   Tick when = tick_of(cycle);
-  if (when < sim_.now()) when = sim::dram_clock().next_edge(sim_.now());
+  if (when < sim_.now()) {
+    when = sim::next_edge(sim_.now(), sim::kDramTicksPerCycle);
+  }
   // A pending wake may be far in the future (idle vault waiting for its
   // refresh deadline); an earlier request supersedes it and the stale
   // event becomes a no-op when it fires.
@@ -188,14 +192,6 @@ bool VaultController::serve_from_buffer(const QueueEntry& entry, u64 cycle,
     trace_->record(obs::Stage::kBufferHit, id_, entry.req.id, tick_of(cycle),
                    tick_of(cycle) + buffer_hit_ticks_);
   }
-  prefetch::AccessContext ctx{.bank = entry.bank,
-                              .row = entry.row,
-                              .line = entry.column,
-                              .type = entry.req.type,
-                              .outcome = RowBufferOutcome::kHit,
-                              .queued_same_row = 0,
-                              .dram_cycle = cycle};
-  scheme_->on_buffer_hit(ctx);
   if (entry.req.type == AccessType::kRead) {
     respond_(entry.req, tick_of(cycle) + buffer_hit_ticks_);
   }

@@ -34,13 +34,17 @@ SchemeKind scheme_from_string(const std::string& name) {
   std::string upper = name;
   std::transform(upper.begin(), upper.end(), upper.begin(),
                  [](unsigned char c) { return std::toupper(c); });
+  std::string valid;
   for (SchemeKind kind :
        {SchemeKind::kNone, SchemeKind::kBase, SchemeKind::kBaseHit,
         SchemeKind::kMmd, SchemeKind::kCamps, SchemeKind::kCampsMod,
         SchemeKind::kStream}) {
     if (upper == to_string(kind)) return kind;
+    valid += valid.empty() ? "" : "|";
+    valid += to_string(kind);
   }
-  throw std::out_of_range("unknown prefetch scheme: " + name);
+  throw std::out_of_range("unknown prefetch scheme \"" + name +
+                          "\" (valid: " + valid + ")");
 }
 
 std::unique_ptr<PrefetchScheme> make_scheme(SchemeKind kind, u32 banks,

@@ -27,7 +27,8 @@ std::vector<SchemeKind> paper_schemes();
 
 const char* to_string(SchemeKind kind);
 
-/// Parses "BASE", "base-hit", "CAMPS-MOD", ... Throws std::out_of_range.
+/// Parses "BASE", "base-hit", "CAMPS-MOD", ... Throws std::out_of_range
+/// listing the valid names.
 SchemeKind scheme_from_string(const std::string& name);
 
 /// Per-scheme tunables; fields are only read by the relevant scheme.

@@ -62,9 +62,6 @@ class PrefetchScheme {
   /// Called once per demand access serviced at the DRAM banks.
   virtual PrefetchDecision on_demand_access(const AccessContext& ctx) = 0;
 
-  /// Called when a demand access was served from the prefetch buffer.
-  virtual void on_buffer_hit(const AccessContext& /*ctx*/) {}
-
   /// Called when a prefetched row leaves the buffer; `was_used` reports
   /// whether any of its lines were demanded (MMD's usefulness feedback).
   virtual void on_prefetch_evicted(BankRow /*row*/, bool /*was_used*/) {}

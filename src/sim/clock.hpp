@@ -14,7 +14,6 @@
 // documented in hmc/serial_link.hpp.
 #pragma once
 
-#include "common/assert.hpp"
 #include "common/types.hpp"
 
 namespace camps::sim {
@@ -28,37 +27,16 @@ inline constexpr u64 kCpuTicksPerCycle = 8;
 /// DRAM command clock: 800 MHz (DDR3-1600).
 inline constexpr u64 kDramTicksPerCycle = 30;
 
-/// A fixed-frequency clock domain anchored at tick 0.
-class ClockDomain {
- public:
-  explicit ClockDomain(u64 ticks_per_cycle) : ticks_per_cycle_(ticks_per_cycle) {
-    CAMPS_ASSERT(ticks_per_cycle > 0);
-  }
+static_assert(kCpuTicksPerCycle * 3 == kTicksPerNs,       // 3 GHz
+              "CPU clock must be exactly 3 GHz in the tick quantum");
+static_assert(kDramTicksPerCycle * 4 == kTicksPerNs * 5,  // 800 MHz
+              "DRAM clock must be exactly 800 MHz in the tick quantum");
 
-  u64 ticks_per_cycle() const { return ticks_per_cycle_; }
-
-  /// Duration of `cycles` cycles, in ticks.
-  Tick to_ticks(u64 cycles) const { return cycles * ticks_per_cycle_; }
-
-  /// Number of *complete* cycles elapsed at `tick`.
-  u64 to_cycles(Tick tick) const { return tick / ticks_per_cycle_; }
-
-  /// The first clock edge at or after `tick`.
-  Tick next_edge(Tick tick) const {
-    const Tick rem = tick % ticks_per_cycle_;
-    return rem == 0 ? tick : tick + (ticks_per_cycle_ - rem);
-  }
-
-  /// The first edge strictly after `tick`.
-  Tick edge_after(Tick tick) const {
-    return next_edge(tick + 1);
-  }
-
- private:
-  u64 ticks_per_cycle_;
-};
-
-inline ClockDomain cpu_clock() { return ClockDomain(kCpuTicksPerCycle); }
-inline ClockDomain dram_clock() { return ClockDomain(kDramTicksPerCycle); }
+/// The first edge at or after `tick` of a clock with period
+/// `ticks_per_cycle` anchored at tick 0.
+constexpr Tick next_edge(Tick tick, u64 ticks_per_cycle) {
+  const Tick rem = tick % ticks_per_cycle;
+  return rem == 0 ? tick : tick + (ticks_per_cycle - rem);
+}
 
 }  // namespace camps::sim

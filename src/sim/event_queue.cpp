@@ -1,22 +1,18 @@
 #include "sim/event_queue.hpp"
 
-#include <algorithm>
-#include <set>
-#include <string>
-
 #include "common/assert.hpp"
 
 namespace camps::sim {
 
-void EventQueue::schedule(Tick when, EventFn fn) {
+void EventQueue::schedule(Tick when, Event fn) {
   u32 slot;
   if (!free_.empty()) {
     slot = free_.back();
     free_.pop_back();
-    slab_[slot] = std::move(fn);
+    slab_[slot] = fn;
   } else {
     slot = static_cast<u32>(slab_.size());
-    slab_.push_back(std::move(fn));
+    slab_.push_back(fn);
   }
   heap_.push_back(HeapEntry{when, next_seq_++, slot});
   sift_up(heap_.size() - 1);
@@ -27,10 +23,11 @@ Tick EventQueue::next_time() const {
   return heap_.front().when;
 }
 
-std::pair<Tick, EventFn> EventQueue::pop() {
+std::pair<Tick, Event> EventQueue::pop() {
   CAMPS_ASSERT(!heap_.empty());
   const HeapEntry top = heap_.front();
-  std::pair<Tick, EventFn> out{top.when, std::move(slab_[top.slot])};
+  std::pair<Tick, Event> out{top.when, slab_[top.slot]};
+  slab_[top.slot].reset();  // a free slot holds no event (audit: slot-leak)
   heap_.front() = heap_.back();
   heap_.pop_back();
   if (!heap_.empty()) sift_down(0);

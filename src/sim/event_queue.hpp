@@ -5,11 +5,11 @@
 // deterministic regardless of heap internals.
 //
 // Two hot-path design choices:
-//  * Event is a small-buffer-optimized functor: captures up to
-//    Event::kInlineCapacity bytes live inside the event record, so the
-//    common vault/core/cache callbacks never touch the heap. Larger or
-//    over-aligned captures fall back to a heap allocation (counted, so
-//    tests can assert the fast path stays fast).
+//  * Event is a plain value: a trivially copyable capture of at most
+//    Event::kInlineCapacity bytes stored inline next to one invoke pointer.
+//    Larger captures, and captures that own resources, do not compile, so
+//    no event ever allocates, relocates through a function pointer or runs
+//    a destructor.
 //  * The queue is a key-in-heap index heap: the binary heap holds compact
 //    (when, seq, slot) entries while the ~100-byte Event payloads sit in a
 //    slab addressed by slot. Sifts compare and move 24-byte POD entries in
@@ -17,9 +17,7 @@
 //    popped slots are recycled through a free list.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -30,10 +28,8 @@
 
 namespace camps::sim {
 
-/// A move-only `void()` callable with inline storage for small captures.
-/// Drop-in for the hot subset of std::function<void()>: no copy, no
-/// target-type queries, but also no heap allocation for any nothrow-movable
-/// capture of at most kInlineCapacity bytes.
+/// A `void()` callable stored inline: the capture's bytes plus one invoke
+/// pointer. Copying an Event copies those bytes; there is nothing to free.
 class Event {
  public:
   /// Sized to the largest scheduling capture in the simulator (HmcDevice
@@ -42,120 +38,39 @@ class Event {
 
   Event() = default;
 
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, Event> &&
-                std::is_invocable_r_v<void, std::decay_t<F>&>>>
+  template <typename F, typename Fn = std::decay_t<F>>
+    requires(!std::is_same_v<Fn, Event> && std::is_invocable_r_v<void, Fn&> &&
+             std::is_trivially_copyable_v<Fn> &&
+             std::is_trivially_destructible_v<Fn> &&
+             sizeof(Fn) <= kInlineCapacity &&
+             alignof(Fn) <= alignof(std::max_align_t))
   Event(F&& f) {  // NOLINT(google-explicit-constructor): functor adaptor
-    using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineCapacity &&
-                  alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
-      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
-      invoke_ = [](void* p) { (*std::launder(reinterpret_cast<Fn*>(p)))(); };
-      if constexpr (!std::is_trivially_copyable_v<Fn> ||
-                    !std::is_trivially_destructible_v<Fn>) {
-        manage_ = [](void* dst, void* src, Op op) {
-          if (op == Op::kRelocate) {
-            Fn* from = std::launder(reinterpret_cast<Fn*>(src));
-            ::new (dst) Fn(std::move(*from));
-            from->~Fn();
-          } else {
-            std::launder(reinterpret_cast<Fn*>(dst))->~Fn();
-          }
-        };
-      }
-    } else {
-      heap_allocations_.fetch_add(1, std::memory_order_relaxed);
-      heap_ = true;
-      Fn* heap = new Fn(std::forward<F>(f));
-      std::memcpy(buf_, &heap, sizeof heap);
-      invoke_ = [](void* p) {
-        Fn* fn;
-        std::memcpy(&fn, p, sizeof fn);
-        (*fn)();
-      };
-      manage_ = [](void* dst, void* src, Op op) {
-        if (op == Op::kRelocate) {
-          std::memcpy(dst, src, sizeof(Fn*));
-        } else {
-          Fn* fn;
-          std::memcpy(&fn, dst, sizeof fn);
-          delete fn;
-        }
-      };
-    }
+    ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
+    invoke_ = [](void* p) { (*std::launder(reinterpret_cast<Fn*>(p)))(); };
   }
-
-  Event(Event&& other) noexcept { move_from(other); }
-  Event& operator=(Event&& other) noexcept {
-    if (this != &other) {
-      reset();
-      move_from(other);
-    }
-    return *this;
-  }
-  Event(const Event&) = delete;
-  Event& operator=(const Event&) = delete;
-  ~Event() { reset(); }
 
   void operator()() { invoke_(buf_); }
 
   explicit operator bool() const { return invoke_ != nullptr; }
 
-  /// True if the capture lives in the inline buffer (no heap allocation).
-  bool is_inline() const { return invoke_ != nullptr && !heap_; }
+  void reset() { invoke_ = nullptr; }
 
-  void reset() {
-    if (invoke_ && manage_) manage_(buf_, nullptr, Op::kDestroy);
-    invoke_ = nullptr;
-    manage_ = nullptr;
-    heap_ = false;
-  }
-
-  /// Process-wide count of events whose capture spilled to the heap. A hot
-  /// loop staying allocation-free shows up here as a flat line; tests and
-  /// the microbenchmark assert on deltas.
-  static u64 heap_allocation_count() {
-    return heap_allocations_.load(std::memory_order_relaxed);
-  }
+  /// Events never spill to the heap; kept for callers that report the
+  /// spill count as a metric.
+  static constexpr u64 heap_allocation_count() { return 0; }
 
  private:
-  enum class Op { kRelocate, kDestroy };
-
-  void move_from(Event& other) noexcept {
-    invoke_ = other.invoke_;
-    manage_ = other.manage_;
-    heap_ = other.heap_;
-    if (invoke_) {
-      if (manage_) {
-        manage_(buf_, other.buf_, Op::kRelocate);
-      } else {
-        std::memcpy(buf_, other.buf_, kInlineCapacity);
-      }
-    }
-    other.invoke_ = nullptr;
-    other.manage_ = nullptr;
-    other.heap_ = false;
-  }
-
   alignas(std::max_align_t) unsigned char buf_[kInlineCapacity];
   void (*invoke_)(void*) = nullptr;
-  /// Non-null only when relocation/destruction is non-trivial (inline
-  /// non-trivially-copyable capture, or heap-spilled capture).
-  void (*manage_)(void* dst, void* src, Op op) = nullptr;
-  bool heap_ = false;
-
-  static inline std::atomic<u64> heap_allocations_{0};
 };
 
-using EventFn = Event;
+static_assert(std::is_trivially_copyable_v<Event>);
 
 class EventQueue final {
  public:
   /// Schedules `fn` to run at absolute time `when`. `when` must not precede
   /// the time of the most recently popped event.
-  void schedule(Tick when, EventFn fn);
+  void schedule(Tick when, Event fn);
 
   bool empty() const { return heap_.empty(); }
   size_t size() const { return heap_.size(); }
@@ -164,7 +79,7 @@ class EventQueue final {
   Tick next_time() const;
 
   /// Pops and returns the earliest event. Requires !empty().
-  std::pair<Tick, EventFn> pop();
+  std::pair<Tick, Event> pop();
 
   /// Total events ever scheduled (for stats / tests).
   u64 scheduled_count() const { return next_seq_; }

@@ -15,24 +15,23 @@ class Simulator final {
   Tick now() const { return now_; }
 
   /// Schedules `fn` to run `delay` ticks from now.
-  void schedule(Tick delay, EventFn fn);
+  void schedule(Tick delay, Event fn);
 
   /// Schedules `fn` at absolute tick `when`; must be >= now().
-  void schedule_at(Tick when, EventFn fn);
+  void schedule_at(Tick when, Event fn);
 
-  /// Runs until the queue drains. Returns the number of events executed.
+  /// Runs until the queue drains or an event calls stop(). Returns the
+  /// number of events executed.
   u64 run();
 
-  /// Runs events with time <= `deadline`; afterwards now() == deadline if
+  /// Runs events with time <= `deadline` until one calls stop(); a stopped
+  /// run leaves now() at the stopping event, otherwise now() == deadline if
   /// the queue drained or the next event lies beyond it.
   u64 run_until(Tick deadline);
 
-  /// Runs until `pred()` becomes true (checked after every event) or the
-  /// queue drains. Returns true if the predicate fired.
-  bool run_while_pending(const std::function<bool()>& pred);
-
-  /// Executes exactly one event, if any. Returns false if queue was empty.
-  bool step();
+  /// Ends the current run() or run_until() right after the executing
+  /// event; the next run resumes from the following event.
+  void stop() { stop_ = true; }
 
   u64 events_executed() const { return executed_; }
   EventQueue& queue() { return queue_; }
@@ -51,14 +50,9 @@ class Simulator final {
   void audit(check::AuditReporter& reporter) const;
 
  private:
-  /// Shared post-event bookkeeping for all run variants.
-  void after_event() {
-    ++executed_;
-    if (hook_every_ != 0 && --hook_countdown_ == 0) [[unlikely]] {
-      hook_countdown_ = hook_every_;
-      hook_();
-    }
-  }
+  /// Executes events with time <= `deadline` until the queue drains or an
+  /// event calls stop(). Returns true if stopped.
+  bool run_events(Tick deadline);
 
   EventQueue queue_;
   Tick now_ = 0;
@@ -66,6 +60,7 @@ class Simulator final {
   u64 hook_every_ = 0;
   u64 hook_countdown_ = 0;
   std::function<void()> hook_;
+  bool stop_ = false;
 };
 
 static_assert(check::Auditable<Simulator>);

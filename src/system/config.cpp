@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -148,7 +149,12 @@ SystemConfig apply_overrides(SystemConfig base, const ConfigFile& cfg) {
   sp.mmd.max_degree = get_u32("mmd.max_degree", sp.mmd.max_degree);
 
   if (cfg.has("scheme")) {
-    base.scheme = prefetch::scheme_from_string(cfg.get_string("scheme"));
+    try {
+      base.scheme = prefetch::scheme_from_string(cfg.get_string("scheme"));
+    } catch (const std::out_of_range& e) {
+      throw std::out_of_range(std::string("config key 'scheme': ") +
+                              e.what());
+    }
   }
 
   fault::FaultConfig& f = base.hmc.fault;

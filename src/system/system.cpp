@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "workload/workloads.hpp"
 
 namespace camps::system {
@@ -102,7 +103,10 @@ void System::on_core_warmed(CoreId /*core*/) {
 }
 
 void System::on_core_measured(CoreId /*core*/) {
-  if (++measured_ == cfg_.cores) window_end_ = sim_.now();
+  if (++measured_ == cfg_.cores) {
+    window_end_ = sim_.now();
+    sim_.stop();
+  }
 }
 
 void System::audit(check::AuditReporter& rep) const {
@@ -132,15 +136,10 @@ RunResults System::run() {
     epoch_sampler_->start();
   }
   for (auto& core : cores_) core->start();
-  const Tick bound = cfg_.max_cycles * sim::kCpuTicksPerCycle;
-  sim_.run_while_pending([&] {
-    if (measured_ == cfg_.cores) return true;
-    if (sim_.now() >= bound) {
-      partial_ = true;
-      return true;
-    }
-    return false;
-  });
+  // The last core's measure event stops the run; reaching the cycle bound
+  // first leaves the run partial.
+  sim_.run_until(cfg_.max_cycles * sim::kCpuTicksPerCycle);
+  partial_ = measured_ != cfg_.cores;
   if (partial_ || window_end_ == 0) window_end_ = sim_.now();
   if (warmed_ != cfg_.cores) window_start_ = window_end_;
   // Closing audit: the drained end state must satisfy every invariant too.

@@ -46,10 +46,14 @@ const std::vector<Workload>& table2_workloads() {
 }
 
 const Workload& workload(const std::string& id) {
+  std::string valid;
   for (const auto& w : table2_workloads()) {
     if (w.id == id) return w;
+    valid += valid.empty() ? "" : "|";
+    valid += w.id;
   }
-  throw std::out_of_range("unknown workload: " + id);
+  throw std::out_of_range("unknown workload \"" + id + "\" (valid: " + valid +
+                          ")");
 }
 
 }  // namespace camps::workload

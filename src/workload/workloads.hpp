@@ -43,7 +43,8 @@ struct Workload {
 /// All twelve workloads of Table II, in paper order.
 const std::vector<Workload>& table2_workloads();
 
-/// Lookup by id ("HM1", "MX3", ...). Throws std::out_of_range when unknown.
+/// Lookup by id ("HM1", "MX3", ...). Throws std::out_of_range listing the
+/// valid ids when unknown.
 const Workload& workload(const std::string& id);
 
 }  // namespace camps::workload

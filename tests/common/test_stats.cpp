@@ -145,21 +145,6 @@ TEST(StatRegistry, SumMatchingExactWhenNoStar) {
   EXPECT_EQ(reg.sum_matching("a.b"), 7u);
 }
 
-TEST(StatRegistry, FormulaEvaluatedAtDump) {
-  StatRegistry reg;
-  Counter& hits = reg.counter("hits");
-  Counter& total = reg.counter("total");
-  reg.add_formula("hit_rate", [&] {
-    return total.value() ? static_cast<double>(hits.value()) /
-                               static_cast<double>(total.value())
-                         : 0.0;
-  });
-  hits.inc(3);
-  total.inc(4);
-  const std::string dump = reg.dump();
-  EXPECT_NE(dump.find("hit_rate = 0.75"), std::string::npos);
-}
-
 TEST(StatRegistry, DumpSortedAndComplete) {
   StatRegistry reg;
   reg.counter("zeta").inc(1);
@@ -170,57 +155,6 @@ TEST(StatRegistry, DumpSortedAndComplete) {
   ASSERT_NE(a, std::string::npos);
   ASSERT_NE(z, std::string::npos);
   EXPECT_LT(a, z);
-}
-
-TEST(Counter, MergeFromAdds) {
-  Counter a, b;
-  a.inc(5);
-  b.inc(7);
-  a.merge_from(b);
-  EXPECT_EQ(a.value(), 12u);
-  EXPECT_EQ(b.value(), 7u) << "merge_from must not mutate the source";
-}
-
-TEST(Histogram, MergeFromCombinesAllAggregates) {
-  Histogram a(10, 4), b(10, 4);
-  a.sample(5);
-  a.sample(35);
-  b.sample(15);
-  b.sample(95);  // overflow bucket
-  a.merge_from(b);
-  EXPECT_EQ(a.count(), 4u);
-  EXPECT_EQ(a.sum(), 150u);
-  EXPECT_EQ(a.min(), 5u);
-  EXPECT_EQ(a.max(), 95u);
-  EXPECT_EQ(a.buckets()[0], 1u);
-  EXPECT_EQ(a.buckets()[1], 1u);
-  EXPECT_EQ(a.buckets()[3], 1u);
-  EXPECT_EQ(a.buckets()[4], 1u);
-}
-
-TEST(Histogram, MergeFromEmptySidesPreserveMinMax) {
-  Histogram a(10, 4), b(10, 4);
-  b.sample(20);
-  a.merge_from(b);  // empty += non-empty adopts the source min/max
-  EXPECT_EQ(a.min(), 20u);
-  EXPECT_EQ(a.max(), 20u);
-  Histogram empty(10, 4);
-  a.merge_from(empty);  // non-empty += empty is a no-op
-  EXPECT_EQ(a.count(), 1u);
-  EXPECT_EQ(a.min(), 20u);
-}
-
-TEST(StatRegistry, MergeFromAddsCountersAndCreatesMissing) {
-  StatRegistry a, b;
-  a.counter("shared").inc(1);
-  b.counter("shared").inc(2);
-  b.counter("only_b").inc(9);
-  b.histogram("lat", 10, 4).sample(25);
-  a.merge_from(b);
-  EXPECT_EQ(a.counter_value("shared"), 3u);
-  EXPECT_EQ(a.counter_value("only_b"), 9u);
-  EXPECT_EQ(a.histogram("lat", 10, 4).count(), 1u);
-  EXPECT_EQ(a.histogram("lat", 10, 4).buckets()[2], 1u);
 }
 
 TEST(StatRegistry, ResetZeroesCounters) {

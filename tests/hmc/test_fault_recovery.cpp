@@ -18,6 +18,7 @@ struct DeviceHarness {
   StatRegistry stats;
   std::unique_ptr<HostController> host;
   std::vector<MemRequest> done;  ///< Every read-done hook call, in order.
+  bool stop_on_done = false;     ///< Stop the run at each read-done call.
 
   explicit DeviceHarness(
       prefetch::SchemeKind scheme = prefetch::SchemeKind::kNone,
@@ -25,7 +26,10 @@ struct DeviceHarness {
     cfg.vault.refresh_enabled = false;  // determinism for latency asserts
     host = std::make_unique<HostController>(
         sim, cfg, scheme, prefetch::SchemeParams{}, stats,
-        [this](const MemRequest& req) { done.push_back(req); });
+        [this](const MemRequest& req) {
+          done.push_back(req);
+          if (stop_on_done) sim.stop();
+        });
   }
 };
 
@@ -205,7 +209,8 @@ TEST(HostController, AnsweredReadsTimeoutFiresAsNoOp) {
 
   const Tick issued = h.sim.now();
   const u64 id = h.host->read(vault_addr(h, 0, 1), 0);  // via link 0
-  ASSERT_TRUE(h.sim.run_while_pending([&] { return !h.done.empty(); }));
+  h.stop_on_done = true;
+  h.sim.run();
   EXPECT_LT(h.sim.now() - issued, cfg.fault.host_timeout_ticks)
       << "the response must beat its timeout for this test to mean much";
   ASSERT_EQ(h.done.size(), 1u);

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 
 #include "hmc/host_controller.hpp"
 
@@ -22,6 +23,14 @@ struct SoakCase {
   PagePolicy policy;
   bool refresh;
 };
+
+// Names each ctest after its fields ("BASE_open_refresh") instead of the
+// struct's bytes.
+void PrintTo(const SoakCase& c, std::ostream* os) {
+  *os << prefetch::to_string(c.scheme)
+      << (c.policy == PagePolicy::kOpen ? "_open" : "_closed")
+      << (c.refresh ? "_refresh" : "_norefresh");
+}
 
 class ProtocolSoak : public ::testing::TestWithParam<SoakCase> {};
 

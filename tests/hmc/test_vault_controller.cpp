@@ -6,6 +6,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "hmc/vault_controller.hpp"
 #include "prefetch/factory.hpp"
 

@@ -59,34 +59,38 @@ TEST(Simulator, RunUntilAdvancesNowOnEmptyQueue) {
   EXPECT_EQ(sim.now(), 99u);
 }
 
-TEST(Simulator, StepExecutesOne) {
-  Simulator sim;
-  int fired = 0;
-  sim.schedule(1, [&] { ++fired; });
-  sim.schedule(2, [&] { ++fired; });
-  EXPECT_TRUE(sim.step());
-  EXPECT_EQ(fired, 1);
-  EXPECT_TRUE(sim.step());
-  EXPECT_FALSE(sim.step());
-}
-
-TEST(Simulator, RunWhilePendingStopsOnPredicate) {
+TEST(Simulator, StopEndsRunAfterItsEvent) {
   Simulator sim;
   int count = 0;
-  for (int i = 1; i <= 10; ++i) sim.schedule(i, [&] { ++count; });
-  const bool fired = sim.run_while_pending([&] { return count == 4; });
-  EXPECT_TRUE(fired);
+  for (int i = 1; i <= 10; ++i) {
+    sim.schedule(i, [&] {
+      if (++count == 4) sim.stop();
+    });
+  }
+  EXPECT_EQ(sim.run(), 4u);
   EXPECT_EQ(count, 4);
-  EXPECT_EQ(sim.now(), 4u);
+  EXPECT_EQ(sim.now(), 4u) << "a stopped run stays at the stopping event";
+  // The next run resumes with the following event.
+  EXPECT_EQ(sim.run(), 6u);
+  EXPECT_EQ(count, 10);
+  EXPECT_EQ(sim.now(), 10u);
 }
 
-TEST(Simulator, RunWhilePendingDrainsIfPredicateNeverFires) {
+TEST(Simulator, StopEndsRunUntilBeforeItsDeadline) {
   Simulator sim;
   int count = 0;
-  for (int i = 1; i <= 3; ++i) sim.schedule(i, [&] { ++count; });
-  const bool fired = sim.run_while_pending([&] { return false; });
-  EXPECT_FALSE(fired);
+  sim.schedule(10, [&] { ++count; });
+  sim.schedule(20, [&] {
+    ++count;
+    sim.stop();
+  });
+  sim.schedule(20, [&] { ++count; });
+  EXPECT_EQ(sim.run_until(100), 2u);
+  EXPECT_EQ(count, 2) << "the same-tick event after stop() waits";
+  EXPECT_EQ(sim.now(), 20u) << "a stopped run does not advance to the deadline";
+  EXPECT_EQ(sim.run_until(100), 1u);
   EXPECT_EQ(count, 3);
+  EXPECT_EQ(sim.now(), 100u);
 }
 
 TEST(Simulator, ScheduleAtAbsolute) {

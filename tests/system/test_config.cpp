@@ -98,6 +98,14 @@ TEST(SystemConfig, BankOverrideKeepsVaultConsistent) {
 TEST(SystemConfig, BadSchemeNameThrows) {
   auto cfg = ConfigFile::parse("scheme = turbo\n");
   EXPECT_THROW(apply_overrides(table1_config(), cfg), std::out_of_range);
+  // The message names the key and the valid schemes.
+  try {
+    apply_overrides(table1_config(), cfg);
+  } catch (const std::out_of_range& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("config key 'scheme'"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("CAMPS-MOD"), std::string::npos) << msg;
+  }
 }
 
 TEST(SystemConfig, MisspelledKeyFailsLoudly) {

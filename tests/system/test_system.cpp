@@ -109,8 +109,11 @@ TEST(System, HmWorkloadsHaveHigherMpkiThanLm) {
 TEST(System, MaxCyclesBoundsRuntime) {
   SystemConfig cfg = quick(prefetch::SchemeKind::kNone, 100000000);
   cfg.max_cycles = 50000;  // far too small to finish
-  auto r = make_workload_system(cfg, "HM1")->run();
+  auto sys = make_workload_system(cfg, "HM1");
+  const auto r = sys->run();
   EXPECT_TRUE(r.partial);
+  EXPECT_EQ(sys->simulator().now(), cfg.max_cycles * sim::kCpuTicksPerCycle)
+      << "a partial run ends exactly at the cycle bound";
 }
 
 TEST(System, CustomTraceSources) {

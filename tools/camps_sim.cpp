@@ -35,6 +35,8 @@
 //     --fault-degrade-threshold=N  vault faults per degradation flush
 //     --fault-tokens=N           link flow-control credits (flits; 0 = off)
 #include <cstdio>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -79,7 +81,7 @@ int main(int argc, char** argv) {
   cfg.core.warmup_instructions = 100'000;
   cfg.core.measure_instructions = 500'000;
 
-  std::string scheme_override;
+  std::optional<prefetch::SchemeKind> scheme;
   u64 warmup = 0, measure = 0, seed = 0;
   bool have_warmup = false, have_measure = false, have_seed = false;
   u64 audit_every = 0;
@@ -103,10 +105,19 @@ int main(int argc, char** argv) {
         have_fault = true;
         return static_cast<u32>(num(flag, ~u32{0}));
       };
+      // Names resolve at their flag, so a typo exits before the run
+      // banner; the lookups throw std::out_of_range listing valid names.
+      auto lookup = [&](const char* flag, auto find) {
+        try {
+          return find(v);
+        } catch (const std::out_of_range& e) {
+          throw cli::UsageError(std::string(flag) + ": " + e.what());
+        }
+      };
       if (cli::flag_value(arg, "--workload", &v)) {
-        workload = v;
+        workload = lookup("--workload", workload::workload).id;
       } else if (cli::flag_value(arg, "--scheme", &v)) {
-        scheme_override = v;
+        scheme = lookup("--scheme", prefetch::scheme_from_string);
       } else if (cli::flag_value(arg, "--config", &v)) {
         config_path = v;
       } else if (cli::flag_value(arg, "--warmup", &v)) {
@@ -186,9 +197,7 @@ int main(int argc, char** argv) {
 
   try {
     // Command-line flags win over the config file.
-    if (!scheme_override.empty()) {
-      cfg.scheme = prefetch::scheme_from_string(scheme_override);
-    }
+    if (scheme) cfg.scheme = *scheme;
     if (have_warmup) cfg.core.warmup_instructions = warmup;
     if (have_measure) cfg.core.measure_instructions = measure;
     if (have_seed) cfg.seed = seed;
