@@ -32,7 +32,6 @@
 
 #include "common/cli.hpp"
 #include "common/json.hpp"
-#include "common/log.hpp"
 #include "exp/runner.hpp"
 #include "exp/table.hpp"
 #include "obs/chrome_trace.hpp"
@@ -745,6 +744,7 @@ struct Options {
   exp::ExperimentConfig cfg;
   std::vector<const Preset*> presets;
   std::string csv, stats_json, trace_out;
+  u32 trace_cap = obs::kDefaultTraceCapacity;
 };
 
 void print_usage(const char* argv0) {
@@ -759,8 +759,7 @@ void print_usage(const char* argv0) {
   --csv=FILE         also write the main table as CSV
   --stats-json=FILE  also write results as JSON (deterministic across --jobs)
   --trace-out=FILE   write request-lifecycle spans as Chrome trace JSON
-  --trace-cap=N      span ring capacity per run (default 16384)
-  --log-level=L      trace|debug|info|warn|error (default warn)
+  --trace-cap=N      span ring capacity per run, at least 1 (default 16384)
 With several presets, each FILE gets ".<preset>" before its extension.
 
 presets (`all` runs every one):
@@ -801,10 +800,12 @@ Options parse_args(int argc, char** argv) {
     } else if (cli::flag_value(arg, "--trace-out", &v)) {
       opt.trace_out = v;
     } else if (cli::flag_value(arg, "--trace-cap", &v)) {
-      cfg.obs.trace_capacity =
+      opt.trace_cap =
           static_cast<u32>(cli::parse_u64("--trace-cap", v, ~u32{0}));
-    } else if (cli::flag_value(arg, "--log-level", &v)) {
-      set_log_level(cli::parse_log_level("--log-level", v));
+      if (opt.trace_cap == 0) {
+        throw cli::UsageError("--trace-cap expects at least 1 span, got \"" +
+                              v + "\"");
+      }
     } else if (arg == "--help") {
       print_usage(argv[0]);
       std::exit(0);
@@ -824,7 +825,7 @@ Options parse_args(int argc, char** argv) {
       std::string msg = "unknown argument: " + arg;
       for (const char* f : {"--measure", "--warmup", "--seed", "--jobs",
                             "--csv", "--stats-json", "--trace-out",
-                            "--trace-cap", "--log-level"}) {
+                            "--trace-cap"}) {
         if (arg == f) msg += std::string(" (did you mean ") + f + "=VALUE?)";
       }
       throw cli::UsageError(msg);
@@ -833,7 +834,7 @@ Options parse_args(int argc, char** argv) {
   if (opt.presets.empty()) throw cli::UsageError("no preset named");
   // Tracing is armed by asking for the output file; the recorder itself
   // costs one branch per instrumentation point otherwise.
-  cfg.obs.trace_enabled = !opt.trace_out.empty();
+  if (!opt.trace_out.empty()) cfg.obs.trace_capacity = opt.trace_cap;
   return opt;
 }
 

@@ -70,12 +70,13 @@ int main(int argc, char** argv) {
   sim::Simulator sim;
   energy::EnergyModel energy;
   StatRegistry stats;
+  obs::TraceRecorder trace;  // disabled: this example reads counters only
   const u32 banks = hmc::HmcGeometry{}.banks_per_vault;
   u64 responses = 0;
   hmc::VaultController vault(
       sim, 0, banks, hmc::VaultConfig{},
       std::make_unique<EagerCopyScheme>(banks), energy, stats,
-      [&](const hmc::MemRequest&, Tick) { ++responses; });
+      [&](const hmc::MemRequest&, Tick) { ++responses; }, trace);
 
   // Drive the vault with a synthetic stream: 8 sequential lines per row.
   u64 id = 1;

@@ -13,8 +13,9 @@ the first violation.
 import json
 import sys
 
-# Stage names per instrumented component (see docs/observability.md). A
-# trace must contain at least one span from each component family.
+# Stage names per component family (see docs/observability.md; the vault
+# controller records the prefetch buffer's inserts and evictions). A trace
+# must contain at least one span from each family.
 COMPONENT_STAGES = {
     "host_controller": {"host_read", "host_queue"},
     "serial_link": {"link_down", "link_up"},

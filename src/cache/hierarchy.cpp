@@ -10,14 +10,14 @@ namespace camps::cache {
 
 CacheHierarchy::CacheHierarchy(sim::Simulator& sim,
                                const HierarchyConfig& config, u32 cores,
-                               MemoryPort* memory, LoadDoneFn on_load_done)
+                               MemoryPort& memory, LoadDoneFn on_load_done)
     : sim_(sim),
       cfg_(config),
       l3_(config.l3),
       memory_(memory),
       on_load_done_(std::move(on_load_done)) {
   CAMPS_ASSERT(cores > 0);
-  CAMPS_ASSERT(memory_ != nullptr);
+  CAMPS_ASSERT(on_load_done_);
   CAMPS_ASSERT(config.l1.line_bytes == config.l3.line_bytes &&
                config.l2.line_bytes == config.l3.line_bytes);
   l1_.reserve(cores);
@@ -56,7 +56,7 @@ void CacheHierarchy::fill_level(Cache& cache, Addr addr, bool dirty,
   if (!victim || !victim->dirty) return;
   if (is_l3) {
     ++memory_writes_;
-    memory_->mem_write(victim->line_addr, core);
+    memory_.mem_write(victim->line_addr, core);
   } else if (&cache == l1_[core].get()) {
     fill_level(*l2_[core], victim->line_addr, true, core, false);
   } else {
@@ -78,7 +78,7 @@ u32 CacheHierarchy::lookup_path(CoreId core, Addr addr, AccessType type,
 void CacheHierarchy::complete_load(CoreId core, Tick issued) {
   ++loads_completed_;
   load_latency_cycles_ += (sim_.now() - issued) / sim::kCpuTicksPerCycle;
-  if (on_load_done_) on_load_done_(core);
+  on_load_done_(core);
 }
 
 void CacheHierarchy::read(CoreId core, Addr addr) {
@@ -105,7 +105,7 @@ void CacheHierarchy::allocate(Addr line, u32 lookup_cycles,
     sim_.schedule(Tick{lookup_cycles} * sim::kCpuTicksPerCycle,
                   [this, core = waiter.core, line] {
                     ++memory_reads_;
-                    memory_->mem_read(line, core);
+                    memory_.mem_read(line, core);
                   });
   }
 }

@@ -52,7 +52,7 @@ class CacheHierarchy final {
   using LoadDoneFn = std::function<void(CoreId)>;
 
   CacheHierarchy(sim::Simulator& sim, const HierarchyConfig& config,
-                 u32 cores, MemoryPort* memory, LoadDoneFn on_load_done);
+                 u32 cores, MemoryPort& memory, LoadDoneFn on_load_done);
 
   /// Performs a load; on_load_done(core) fires when the data reaches the
   /// core.
@@ -105,7 +105,7 @@ class CacheHierarchy final {
   std::vector<std::unique_ptr<Cache>> l2_;
   Cache l3_;
   MshrFile mshrs_;
-  MemoryPort* memory_;
+  MemoryPort& memory_;
   LoadDoneFn on_load_done_;
 
   u64 memory_reads_ = 0, memory_writes_ = 0;

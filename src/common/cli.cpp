@@ -50,13 +50,4 @@ double parse_double(std::string_view flag, const std::string& value) {
   return out;
 }
 
-LogLevel parse_log_level(std::string_view flag, const std::string& value) {
-  if (value == "trace") return LogLevel::kTrace;
-  if (value == "debug") return LogLevel::kDebug;
-  if (value == "info") return LogLevel::kInfo;
-  if (value == "warn") return LogLevel::kWarn;
-  if (value == "error") return LogLevel::kError;
-  bad_value(flag, "trace|debug|info|warn|error", value);
-}
-
 }  // namespace camps::cli

@@ -8,7 +8,6 @@
 #include <string>
 #include <string_view>
 
-#include "common/log.hpp"
 #include "common/types.hpp"
 
 namespace camps::cli {
@@ -31,8 +30,5 @@ u64 parse_u64(std::string_view flag, const std::string& value,
 
 /// Whole-value finite floating-point number.
 double parse_double(std::string_view flag, const std::string& value);
-
-/// trace|debug|info|warn|error.
-LogLevel parse_log_level(std::string_view flag, const std::string& value);
 
 }  // namespace camps::cli

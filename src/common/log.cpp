@@ -1,59 +1,19 @@
 #include "common/log.hpp"
 
-#include <atomic>
 #include <cstdarg>
 #include <cstdio>
 #include <mutex>
 
 namespace camps {
-namespace {
-std::atomic<LogLevel> g_level{LogLevel::kWarn};
-
-/// Serializes all stderr emission (log lines and progress lines) so
-/// concurrent sweep workers produce whole lines.
-std::mutex& stderr_mutex() {
-  static std::mutex mu;
-  return mu;
-}
-
-const char* level_name(LogLevel level) {
-  switch (level) {
-    case LogLevel::kTrace: return "TRACE";
-    case LogLevel::kDebug: return "DEBUG";
-    case LogLevel::kInfo: return "INFO";
-    case LogLevel::kWarn: return "WARN";
-    case LogLevel::kError: return "ERROR";
-  }
-  return "?";
-}
-}  // namespace
-
-LogLevel log_level() { return g_level.load(std::memory_order_relaxed); }
-void set_log_level(LogLevel level) {
-  g_level.store(level, std::memory_order_relaxed);
-}
-
-namespace detail {
-void log_vemit(LogLevel level, std::string_view component, const char* fmt,
-               ...) {
-  char buf[1024];
-  va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buf, sizeof buf, fmt, args);
-  va_end(args);
-  std::lock_guard<std::mutex> lock(stderr_mutex());
-  std::fprintf(stderr, "[%s] %.*s: %s\n", level_name(level),
-               static_cast<int>(component.size()), component.data(), buf);
-}
-}  // namespace detail
 
 void progress_line(const char* fmt, ...) {
+  static std::mutex mu;
   char buf[1024];
   va_list args;
   va_start(args, fmt);
   std::vsnprintf(buf, sizeof buf, fmt, args);
   va_end(args);
-  std::lock_guard<std::mutex> lock(stderr_mutex());
+  std::lock_guard<std::mutex> lock(mu);
   std::fprintf(stderr, "%s\n", buf);
 }
 

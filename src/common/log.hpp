@@ -1,41 +1,16 @@
-// Minimal leveled logging. Off (kWarn) by default so hot paths stay silent;
-// tests and debugging sessions raise the level per component.
+// Whole-line progress output on stderr, safe to call from concurrent sweep
+// workers.
 //
 // printf-style formatting (GCC 12 in this toolchain has no <format>); the
 // format string is checked by the compiler via the format attribute.
 #pragma once
 
-#include <string_view>
-
 namespace camps {
 
-enum class LogLevel { kTrace = 0, kDebug = 1, kInfo = 2, kWarn = 3, kError = 4 };
-
-/// Process-wide log threshold. Messages below it are discarded before
-/// formatting.
-LogLevel log_level();
-void set_log_level(LogLevel level);
-
-namespace detail {
-void log_vemit(LogLevel level, std::string_view component, const char* fmt,
-               ...) __attribute__((format(printf, 3, 4)));
-}
-
-/// Writes one whole line to stderr under the process-wide logging mutex, so
-/// lines emitted from concurrent sweep workers never interleave mid-line.
-/// Unconditional (not subject to the log level): callers gate on their own
-/// verbosity flags. A trailing '\n' is appended.
+/// Writes one whole line to stderr under a process-wide mutex, so lines
+/// emitted from concurrent sweep workers never interleave mid-line.
+/// Unconditional: callers gate on their own verbosity flags. A trailing
+/// '\n' is appended.
 void progress_line(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
-
-template <typename... Args>
-void log(LogLevel level, std::string_view component, const char* fmt,
-         Args&&... args) {
-  if (level < log_level()) return;
-  if constexpr (sizeof...(Args) == 0) {
-    detail::log_vemit(level, component, "%s", fmt);
-  } else {
-    detail::log_vemit(level, component, fmt, std::forward<Args>(args)...);
-  }
-}
 
 }  // namespace camps

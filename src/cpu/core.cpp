@@ -5,7 +5,7 @@
 namespace camps::cpu {
 
 Core::Core(sim::Simulator& sim, CoreId id, const CoreConfig& config,
-           trace::TraceSource* trace, cache::CacheHierarchy* caches,
+           trace::TraceSource& trace, cache::CacheHierarchy& caches,
            PhaseFn on_warmed_up, PhaseFn on_measured)
     : sim_(sim),
       id_(id),
@@ -16,7 +16,7 @@ Core::Core(sim::Simulator& sim, CoreId id, const CoreConfig& config,
       on_measured_(std::move(on_measured)) {
   CAMPS_ASSERT(cfg_.issue_width >= 1);
   CAMPS_ASSERT(cfg_.max_outstanding_loads >= 1);
-  CAMPS_ASSERT(trace_ != nullptr && caches_ != nullptr);
+  CAMPS_ASSERT(on_warmed_up_ && on_measured_);
 }
 
 void Core::start() {
@@ -37,7 +37,7 @@ void Core::step() {
   if (halted_) return;
   while (true) {
     if (!current_) {
-      current_ = trace_->next();
+      current_ = trace_.next();
       if (!current_) {
         halt();
         return;
@@ -64,10 +64,10 @@ void Core::step() {
     if (current_->type == AccessType::kRead) {
       ++outstanding_;
       ++loads_;
-      caches_->read(id_, current_->addr);
+      caches_.read(id_, current_->addr);
     } else {
       ++stores_;
-      caches_->write(id_, current_->addr);
+      caches_.write(id_, current_->addr);
     }
     current_.reset();
     check_phases();
@@ -90,13 +90,13 @@ void Core::on_load_done() {
 void Core::check_phases() {
   if (!warmup_tick_ && issued_ >= cfg_.warmup_instructions) {
     warmup_tick_ = cursor_;
-    if (on_warmed_up_) on_warmed_up_(id_);
+    on_warmed_up_(id_);
   }
   if (warmup_tick_ && !measure_tick_ &&
       issued_ >= cfg_.warmup_instructions + cfg_.measure_instructions) {
     measure_tick_ = cursor_;
     measured_instructions_ = cfg_.measure_instructions;
-    if (on_measured_) on_measured_(id_);
+    on_measured_(id_);
   }
 }
 
@@ -106,14 +106,14 @@ void Core::halt() {
   // so the run can't deadlock waiting for this core.
   if (!warmup_tick_) {
     warmup_tick_ = cursor_;
-    if (on_warmed_up_) on_warmed_up_(id_);
+    on_warmed_up_(id_);
   }
   if (!measure_tick_) {
     measure_tick_ = cursor_;
     measured_instructions_ =
         issued_ > cfg_.warmup_instructions ? issued_ - cfg_.warmup_instructions
                                            : 0;
-    if (on_measured_) on_measured_(id_);
+    on_measured_(id_);
   }
 }
 

@@ -36,7 +36,7 @@ class Core {
   using PhaseFn = std::function<void(CoreId)>;
 
   Core(sim::Simulator& sim, CoreId id, const CoreConfig& config,
-       trace::TraceSource* trace, cache::CacheHierarchy* caches,
+       trace::TraceSource& trace, cache::CacheHierarchy& caches,
        PhaseFn on_warmed_up, PhaseFn on_measured);
 
   /// Begins execution at the current simulation time.
@@ -73,8 +73,8 @@ class Core {
   sim::Simulator& sim_;
   CoreId id_;
   CoreConfig cfg_;
-  trace::TraceSource* trace_;
-  cache::CacheHierarchy* caches_;
+  trace::TraceSource& trace_;
+  cache::CacheHierarchy& caches_;
   PhaseFn on_warmed_up_;
   PhaseFn on_measured_;
 

@@ -32,16 +32,12 @@ enum class RowBufferOutcome : u8 { kHit, kEmpty, kConflict };
 
 class Bank final {
  public:
-  explicit Bank(const TimingParams& timing) : t_(&timing) {}
-
-  /// Arms span recording for this bank's commands. `track` is the bank's
-  /// global lane id (vault * banks_per_vault + bank). The bank records ACT,
-  /// PRE, column-service, and row-fetch windows; `trace_id` on the command
-  /// methods ties a span back to the demand request that caused it.
-  void attach_trace(obs::TraceRecorder* trace, u32 track) {
-    trace_ = trace;
-    trace_track_ = track;
-  }
+  /// The bank records its ACT, PRE, column-service, and row-fetch windows
+  /// on `trace`, lane `track` (vault * banks_per_vault + bank); `trace_id`
+  /// on the command methods ties a span back to the demand request that
+  /// caused it.
+  Bank(const TimingParams& timing, obs::TraceRecorder& trace, u32 track)
+      : t_(&timing), trace_(&trace), trace_track_(track) {}
 
   /// Current state once all transitions up to `cycle` have settled.
   BankState state(u64 cycle) const;
@@ -90,15 +86,15 @@ class Bank final {
   /// Records [begin, end) DRAM cycles as a tick span; one inlined branch
   /// when tracing is off (this sits on the per-DRAM-command hot path).
   void trace_span(obs::Stage stage, u64 id, u64 begin_cycle, u64 end_cycle) {
-    if (trace_ == nullptr) return;
     trace_->record(stage, trace_track_, id,
                    begin_cycle * sim::kDramTicksPerCycle,
                    end_cycle * sim::kDramTicksPerCycle);
   }
 
+  // Pointers, not references, so a Bank stays a copy-assignable value.
   const TimingParams* t_;
-  obs::TraceRecorder* trace_ = nullptr;
-  u32 trace_track_ = 0;
+  obs::TraceRecorder* trace_;
+  u32 trace_track_;
 
   BankState raw_state_ = BankState::kPrecharged;
   RowId row_ = 0;

@@ -7,8 +7,12 @@
 
 namespace camps::hmc {
 
-Crossbar::Crossbar(u32 output_ports, const CrossbarParams& params)
-    : p_(params), port_free_(output_ports, 0) {
+Crossbar::Crossbar(u32 output_ports, const CrossbarParams& params,
+                   obs::TraceRecorder& trace, obs::Stage stage)
+    : p_(params),
+      trace_(trace),
+      trace_stage_(stage),
+      port_free_(output_ports, 0) {
   CAMPS_ASSERT(output_ports > 0);
 }
 
@@ -26,9 +30,7 @@ Crossbar::Routed Crossbar::route(Tick now, u32 port, u64 trace_id) {
   port_free_[port] = start + p_.port_interval_ticks;
   ++packets_;
   const Tick deliver = start + p_.latency_ticks;
-  if (trace_ != nullptr) {
-    trace_->record(trace_stage_, port, trace_id, now, deliver);
-  }
+  trace_.record(trace_stage_, port, trace_id, now, deliver);
   return Routed{deliver, false};
 }
 

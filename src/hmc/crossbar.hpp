@@ -30,7 +30,10 @@ struct CrossbarParams {
 
 class Crossbar {
  public:
-  Crossbar(u32 output_ports, const CrossbarParams& params = {});
+  /// Traversals record as `stage` (kXbarDown or kXbarUp) spans on
+  /// `trace`, one lane per output port.
+  Crossbar(u32 output_ports, const CrossbarParams& params,
+           obs::TraceRecorder& trace, obs::Stage stage);
 
   /// Outcome of one traversal attempt.
   struct Routed {
@@ -41,15 +44,8 @@ class Crossbar {
   /// Routes a packet submitted at `now` toward `port`; returns its delivery
   /// tick at that port. Per-port FIFO order is preserved. A dropped grant
   /// (fault injection) does not advance the port's schedule — the packet
-  /// simply never traversed. `trace_id` tags the traversal span when
-  /// tracing is armed.
+  /// simply never traversed. `trace_id` tags the traversal span.
   Routed route(Tick now, u32 port, u64 trace_id = 0);
-
-  /// Arms span recording (stage kXbarDown or kXbarUp, lane = output port).
-  void attach_trace(obs::TraceRecorder* trace, obs::Stage stage) {
-    trace_ = trace;
-    trace_stage_ = stage;
-  }
 
   /// Arms fault injection. `unit_base` offsets this crossbar's ports in
   /// the plan's sequence space so the down and up crossbars draw
@@ -64,8 +60,8 @@ class Crossbar {
 
  private:
   CrossbarParams p_;
-  obs::TraceRecorder* trace_ = nullptr;
-  obs::Stage trace_stage_ = obs::Stage::kXbarDown;
+  obs::TraceRecorder& trace_;
+  obs::Stage trace_stage_;
   fault::FaultPlan* plan_ = nullptr;
   u32 fault_unit_base_ = 0;
   std::vector<Tick> port_free_;

@@ -12,15 +12,16 @@ using energy::EnergyEvent;
 HmcDevice::HmcDevice(sim::Simulator& sim, const HmcConfig& config,
                      prefetch::SchemeKind scheme,
                      const prefetch::SchemeParams& params, StatRegistry& stats,
-                     DeliverFn deliver, obs::TraceRecorder* trace)
+                     DeliverFn deliver, obs::TraceRecorder& trace)
     : sim_(sim),
       cfg_(config),
       map_(config.geometry, config.field_order),
       energy_(config.energy),
-      down_xbar_(config.geometry.vaults, config.crossbar),
-      up_xbar_(config.num_links, config.crossbar),
-      deliver_(std::move(deliver)),
       trace_(trace),
+      down_xbar_(config.geometry.vaults, config.crossbar, trace,
+                 obs::Stage::kXbarDown),
+      up_xbar_(config.num_links, config.crossbar, trace, obs::Stage::kXbarUp),
+      deliver_(std::move(deliver)),
       h_lat_host_queue_(stats.histogram("latency.host_queue_cycles",
                                         /*bucket_width=*/8,
                                         /*num_buckets=*/64)),
@@ -43,16 +44,12 @@ HmcDevice::HmcDevice(sim::Simulator& sim, const HmcConfig& config,
   }
   links_.reserve(cfg_.num_links);
   for (u32 l = 0; l < cfg_.num_links; ++l) {
-    links_.push_back(std::make_unique<SerialLink>(link_params));
-    links_[l]->downstream().attach_trace(trace_, obs::Stage::kLinkDown, l);
-    links_[l]->upstream().attach_trace(trace_, obs::Stage::kLinkUp, l);
+    links_.push_back(std::make_unique<SerialLink>(link_params, trace_, l));
     if (fault_plan_ != nullptr) {
       links_[l]->downstream().attach_faults(fault_plan_.get(), l, false);
       links_[l]->upstream().attach_faults(fault_plan_.get(), l, true);
     }
   }
-  down_xbar_.attach_trace(trace_, obs::Stage::kXbarDown);
-  up_xbar_.attach_trace(trace_, obs::Stage::kXbarUp);
   if (fault_plan_ != nullptr) {
     // Disjoint unit bases keep the two crossbars' decision streams
     // independent (down ports are vault ids, up ports are link ids).
@@ -86,9 +83,9 @@ void HmcDevice::submit(const MemRequest& request, Tick now) {
   h_lat_host_queue_.sample((xfer.start - now) / sim::kCpuTicksPerCycle);
   h_lat_link_down_.sample((xfer.deliver - xfer.start) /
                           sim::kCpuTicksPerCycle);
-  if (trace_ != nullptr && xfer.start > now) {
-    trace_->record(obs::Stage::kHostQueue, link_idx, request.id, now,
-                   xfer.start);
+  if (xfer.start > now) {
+    trace_.record(obs::Stage::kHostQueue, link_idx, request.id, now,
+                  xfer.start);
   }
   const Tick at_xbar = xfer.deliver;
   const auto routed = down_xbar_.route(at_xbar, decoded.vault, request.id);

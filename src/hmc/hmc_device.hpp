@@ -57,7 +57,7 @@ class HmcDevice {
   HmcDevice(sim::Simulator& sim, const HmcConfig& config,
             prefetch::SchemeKind scheme, const prefetch::SchemeParams& params,
             StatRegistry& stats, DeliverFn deliver,
-            obs::TraceRecorder* trace = nullptr);
+            obs::TraceRecorder& trace);
 
   /// Sends a demand request into the cube at `now` (reads get a later
   /// deliver() call; writes are posted).
@@ -106,12 +106,12 @@ class HmcDevice {
   std::unique_ptr<fault::FaultPlan> fault_plan_;  ///< Null: faults off.
   std::vector<u32> vault_fault_counts_;  ///< Since the last degrade flush.
   energy::EnergyModel energy_;
+  obs::TraceRecorder& trace_;
   std::vector<std::unique_ptr<SerialLink>> links_;
   Crossbar down_xbar_;  ///< Link -> vault ports.
   Crossbar up_xbar_;    ///< Vault -> link ports.
   std::vector<std::unique_ptr<VaultController>> vaults_;
   DeliverFn deliver_;
-  obs::TraceRecorder* trace_ = nullptr;
 
   // Latency breakdown (CPU cycles).
   Histogram& h_lat_host_queue_;  ///< submit -> link start.

@@ -10,7 +10,7 @@ HostController::HostController(sim::Simulator& sim, const HmcConfig& config,
                                prefetch::SchemeKind scheme,
                                const prefetch::SchemeParams& params,
                                StatRegistry& stats, ReadDoneFn on_read_done,
-                               obs::TraceRecorder* trace)
+                               obs::TraceRecorder& trace)
     : sim_(sim),
       device_(sim, config, scheme, params, stats,
               [this](const MemRequest& req) { deliver(req); }, trace),
@@ -18,7 +18,9 @@ HostController::HostController(sim::Simulator& sim, const HmcConfig& config,
       trace_(trace),
       h_lat_total_read_(stats.histogram("latency.total_read_cycles",
                                         /*bucket_width=*/32,
-                                        /*num_buckets=*/128)) {}
+                                        /*num_buckets=*/128)) {
+  CAMPS_ASSERT(on_read_done_);
+}
 
 u64 HostController::read(Addr addr, CoreId core) {
   MemRequest req;
@@ -74,11 +76,9 @@ void HostController::on_timeout(u64 id) {
     req.created = pending.first_created;
     req.poisoned = true;
     plan->count_host_poison(sim_.now() - pending.first_created);
-    if (trace_ != nullptr) {
-      trace_->record(obs::Stage::kHostRead, req.core, req.id,
-                     pending.first_created, sim_.now());
-    }
-    if (on_read_done_) on_read_done_(req);
+    trace_.record(obs::Stage::kHostRead, req.core, req.id,
+                  pending.first_created, sim_.now());
+    on_read_done_(req);
     return;
   }
   // Linear backoff: the n-th retry waits n backoff periods before
@@ -130,16 +130,14 @@ void HostController::deliver(const MemRequest& request) {
   const u64 cycles =
       (sim_.now() - pending.first_created) / sim::kCpuTicksPerCycle;
   h_lat_total_read_.sample(cycles);
-  if (trace_ != nullptr) {
-    trace_->record(obs::Stage::kHostRead, request.core, request.id,
-                   pending.first_created, sim_.now());
-  }
+  trace_.record(obs::Stage::kHostRead, request.core, request.id,
+                pending.first_created, sim_.now());
   if (pending.attempt > 1) {
     device_.fault_plan()->count_host_recovery(sim_.now() -
                                               pending.first_created);
   }
   outstanding_.erase(it);
-  if (on_read_done_) on_read_done_(request);
+  on_read_done_(request);
 }
 
 void HostController::reset_stats() {

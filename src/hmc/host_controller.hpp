@@ -34,7 +34,7 @@ class HostController final {
   HostController(sim::Simulator& sim, const HmcConfig& config,
                  prefetch::SchemeKind scheme,
                  const prefetch::SchemeParams& params, StatRegistry& stats,
-                 ReadDoneFn on_read_done, obs::TraceRecorder* trace = nullptr);
+                 ReadDoneFn on_read_done, obs::TraceRecorder& trace);
 
   /// Issues a read and returns its request id; the read-done hook reports
   /// its completion.
@@ -88,7 +88,7 @@ class HostController final {
   sim::Simulator& sim_;
   HmcDevice device_;
   ReadDoneFn on_read_done_;
-  obs::TraceRecorder* trace_ = nullptr;
+  obs::TraceRecorder& trace_;
   // Keyed lookup/erase only — never iterated for ordered output, so the
   // unspecified iteration order cannot leak into results.
   std::unordered_map<u64, Pending> outstanding_;  // camps-lint: allow(determinism)

@@ -9,8 +9,14 @@
 
 namespace camps::hmc {
 
-LinkDirection::LinkDirection(const LinkParams& params)
-    : p_(params), tokens_available_(params.tokens) {
+LinkDirection::LinkDirection(const LinkParams& params,
+                             obs::TraceRecorder& trace, obs::Stage stage,
+                             u32 track)
+    : p_(params),
+      trace_(trace),
+      trace_stage_(stage),
+      trace_track_(track),
+      tokens_available_(params.tokens) {
   CAMPS_ASSERT(p_.lanes > 0);
   CAMPS_ASSERT(p_.gbps_per_lane > 0.0);
 }
@@ -95,10 +101,7 @@ LinkDirection::Transfer LinkDirection::submit(Tick now, u32 flits,
       // arrives — recovery is the requester's problem (host timeout path).
       plan_->count_link_drop();
       xfer.dropped = true;
-      if (trace_ != nullptr) {
-        trace_->record(trace_stage_, trace_track_, trace_id, start,
-                       busy_until_);
-      }
+      trace_.record(trace_stage_, trace_track_, trace_id, start, busy_until_);
       if (p_.tokens > 0) {
         // The credits come back regardless (the link-level timeout frees
         // the far-end buffer slot) — otherwise every drop would shrink the
@@ -129,9 +132,7 @@ LinkDirection::Transfer LinkDirection::submit(Tick now, u32 flits,
     if (xfer.replays > 0) plan_->count_replay(deliver - first_deliver);
   }
 
-  if (trace_ != nullptr) {
-    trace_->record(trace_stage_, trace_track_, trace_id, start, deliver);
-  }
+  trace_.record(trace_stage_, trace_track_, trace_id, start, deliver);
   if (p_.tokens > 0) {
     token_returns_.push_back({deliver + p_.token_return_ticks, flits});
   }

@@ -62,7 +62,10 @@ struct LinkParams {
 /// One direction of one link: a bandwidth-limited FIFO pipe.
 class LinkDirection {
  public:
-  explicit LinkDirection(const LinkParams& params = {});
+  /// Serializations record as `stage` (kLinkDown or kLinkUp) spans on
+  /// `trace`, on lane `track` (the link index).
+  LinkDirection(const LinkParams& params, obs::TraceRecorder& trace,
+                obs::Stage stage, u32 track);
 
   /// A packet's passage through this direction: serialization begins at
   /// `start` (>= submission time when the pipe is backed up, waking, or
@@ -82,16 +85,8 @@ class LinkDirection {
 
   /// Accepts a packet at `now`; returns when it started serializing and
   /// when the far end receives it. Packets serialize in submission order
-  /// (FIFO). `trace_id` tags the serialization span when tracing is armed.
+  /// (FIFO). `trace_id` tags the serialization span.
   Transfer submit(Tick now, u32 flits, u64 trace_id = 0);
-
-  /// Arms span recording for this direction (stage kLinkDown or kLinkUp,
-  /// lane = link index).
-  void attach_trace(obs::TraceRecorder* trace, obs::Stage stage, u32 track) {
-    trace_ = trace;
-    trace_stage_ = stage;
-    trace_track_ = track;
-  }
 
   /// Arms fault injection: `plan` decides which packets CRC-fail or drop.
   /// `link_index` identifies this link in the plan's per-site sequence
@@ -142,9 +137,9 @@ class LinkDirection {
   void reap(Tick now);
 
   LinkParams p_;
-  obs::TraceRecorder* trace_ = nullptr;
-  obs::Stage trace_stage_ = obs::Stage::kLinkDown;
-  u32 trace_track_ = 0;
+  obs::TraceRecorder& trace_;
+  obs::Stage trace_stage_;
+  u32 trace_track_;
   fault::FaultPlan* plan_ = nullptr;
   u32 fault_unit_ = 0;
   bool fault_upstream_ = false;
@@ -163,8 +158,10 @@ class LinkDirection {
 /// A full-duplex link: requests flow downstream, responses upstream.
 class SerialLink {
  public:
-  explicit SerialLink(const LinkParams& params = {})
-      : down_(params), up_(params) {}
+  /// Both directions trace on lane `index`.
+  SerialLink(const LinkParams& params, obs::TraceRecorder& trace, u32 index)
+      : down_(params, trace, obs::Stage::kLinkDown, index),
+        up_(params, trace, obs::Stage::kLinkUp, index) {}
 
   LinkDirection& downstream() { return down_; }
   LinkDirection& upstream() { return up_; }

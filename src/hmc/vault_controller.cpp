@@ -27,7 +27,7 @@ VaultController::VaultController(
     sim::Simulator& sim, VaultId id, u32 banks, const VaultConfig& config,
     std::unique_ptr<prefetch::PrefetchScheme> scheme,
     energy::EnergyModel& energy, StatRegistry& stats, RespondFn respond,
-    obs::TraceRecorder* trace)
+    obs::TraceRecorder& trace)
     : sim_(sim),
       id_(id),
       cfg_(config),
@@ -36,6 +36,7 @@ VaultController::VaultController(
       scheme_(std::move(scheme)),
       refresh_(cfg_.timing, cfg_.refresh_enabled),
       energy_(energy),
+      trace_(trace),
       respond_(std::move(respond)),
       c_rb_hit_(stats.counter(vault_stat(id, "rb_hit"))),
       c_rb_empty_(stats.counter(vault_stat(id, "rb_empty"))),
@@ -54,20 +55,17 @@ VaultController::VaultController(
                                           /*num_buckets=*/64)),
       h_lat_buffer_hit_(stats.histogram("latency.buffer_hit_cycles",
                                         /*bucket_width=*/2,
-                                        /*num_buckets=*/32)),
-      trace_(trace) {
+                                        /*num_buckets=*/32)) {
   CAMPS_ASSERT(banks > 0 && banks <= 32);  // scheduler bank bitmask
   CAMPS_ASSERT(cfg_.read_queue > 0 && cfg_.write_queue > 0);
   CAMPS_ASSERT(cfg_.write_drain_low < cfg_.write_drain_high);
   CAMPS_ASSERT(cfg_.write_drain_high <= cfg_.write_queue);
   banks_.reserve(banks);
-  for (u32 b = 0; b < banks; ++b) banks_.emplace_back(cfg_.timing);
+  for (u32 b = 0; b < banks; ++b) {
+    banks_.emplace_back(cfg_.timing, trace_, id_ * banks + b);
+  }
   open_row_refs_.resize(banks);
   buffer_hit_ticks_ = cfg_.buffer.hit_latency * sim::kCpuTicksPerCycle;
-  for (u32 b = 0; b < banks; ++b) {
-    banks_[b].attach_trace(trace_, id_ * banks + b);
-  }
-  buffer_.attach_trace(trace_, id_, sim::kDramTicksPerCycle);
 }
 
 void VaultController::reset_stats() {
@@ -188,10 +186,8 @@ bool VaultController::serve_from_buffer(const QueueEntry& entry, u64 cycle,
   h_lat_buffer_hit_.sample(cfg_.buffer.hit_latency);
   h_lat_vault_queue_.sample(
       cpu_cycles_of_dram(cycle - std::min(cycle, entry.enqueue_cycle)));
-  if (trace_ != nullptr) {
-    trace_->record(obs::Stage::kBufferHit, id_, entry.req.id, tick_of(cycle),
-                   tick_of(cycle) + buffer_hit_ticks_);
-  }
+  trace_.record(obs::Stage::kBufferHit, id_, entry.req.id, tick_of(cycle),
+                tick_of(cycle) + buffer_hit_ticks_);
   if (entry.req.type == AccessType::kRead) {
     respond_(entry.req, tick_of(cycle) + buffer_hit_ticks_);
   }
@@ -398,9 +394,9 @@ bool VaultController::issue_demand_column(u64 cycle) {
     const u64 waited = cycle - std::min(cycle, it->enqueue_cycle);
     h_queue_wait_.sample(waited);
     h_lat_vault_queue_.sample(cpu_cycles_of_dram(waited));
-    if (trace_ != nullptr && waited > 0) {
-      trace_->record(obs::Stage::kVaultQueue, id_, it->req.id,
-                     tick_of(cycle - waited), tick_of(cycle));
+    if (waited > 0) {
+      trace_.record(obs::Stage::kVaultQueue, id_, it->req.id,
+                    tick_of(cycle - waited), tick_of(cycle));
     }
     u64 done;
     if (it->req.type == AccessType::kRead) {
@@ -504,10 +500,17 @@ void VaultController::complete_fetch(BankId bank, RowId row,
   const auto result =
       buffer_.insert(BankRow{bank, row}, seed_bitmap, issue_cycle);
   if (!result.inserted) return;
+  // Instant markers on the vault lane; the span id folds (bank, row) so a
+  // viewer query can follow one row's residency.
+  const Tick at = tick_of(issue_cycle);
+  trace_.record(obs::Stage::kPfInsert, id_, (u64{bank} << 40) | row, at, at);
   c_prefetch_.inc();
   if (result.victim) {
-    scheme_->on_prefetch_evicted(result.victim->id, result.victim->referenced);
-    if (result.victim->dirty) energy_.add(EnergyEvent::kRowWriteback);
+    const prefetch::EvictedRow& victim = *result.victim;
+    trace_.record(obs::Stage::kPfEvict, id_,
+                  (u64{victim.id.bank} << 40) | victim.id.row, at, at);
+    scheme_->on_prefetch_evicted(victim.id, victim.referenced);
+    if (victim.dirty) energy_.add(EnergyEvent::kRowWriteback);
   }
 }
 

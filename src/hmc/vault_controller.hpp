@@ -64,7 +64,7 @@ class VaultController final {
                   const VaultConfig& config,
                   std::unique_ptr<prefetch::PrefetchScheme> scheme,
                   energy::EnergyModel& energy, StatRegistry& stats,
-                  RespondFn respond, obs::TraceRecorder* trace = nullptr);
+                  RespondFn respond, obs::TraceRecorder& trace);
 
   VaultController(const VaultController&) = delete;
   VaultController& operator=(const VaultController&) = delete;
@@ -168,7 +168,8 @@ class VaultController final {
   void apply_decision(const prefetch::PrefetchDecision& decision,
                       const QueueEntry& entry);
   /// `issue_cycle` stamps the insert: requests enqueued before the fetch
-  /// was issued are demands it reacted to, not anticipations.
+  /// was issued are demands it reacted to, not anticipations. An inserted
+  /// row (and its victim) mark instant spans on the vault's trace lane.
   void complete_fetch(BankId bank, RowId row, u64 seed_bitmap,
                       u64 issue_cycle);
   void update_drain_mode();
@@ -184,6 +185,7 @@ class VaultController final {
   std::unique_ptr<prefetch::PrefetchScheme> scheme_;
   dram::RefreshScheduler refresh_;
   energy::EnergyModel& energy_;  ///< Shared, device-wide.
+  obs::TraceRecorder& trace_;    ///< Shared, System-wide.
   RespondFn respond_;
   Tick buffer_hit_ticks_;
 
@@ -238,8 +240,6 @@ class VaultController final {
   Histogram& h_lat_vault_queue_;   ///< Enqueue -> leave the queue.
   Histogram& h_lat_bank_service_;  ///< Column issue -> data done.
   Histogram& h_lat_buffer_hit_;    ///< Prefetch-buffer hit serves.
-
-  obs::TraceRecorder* trace_ = nullptr;
 
   /// Whole CPU cycles spanned by `cycles` DRAM cycles.
   static u64 cpu_cycles_of_dram(u64 cycles) {

@@ -10,11 +10,8 @@
 namespace camps::obs {
 
 EpochSampler::EpochSampler(sim::Simulator& sim, Tick epoch_ticks,
-                           SampleFn sample, KeepGoingFn keep_going)
-    : sim_(sim),
-      epoch_ticks_(epoch_ticks),
-      sample_(std::move(sample)),
-      keep_going_(std::move(keep_going)) {
+                           SampleFn sample)
+    : sim_(sim), epoch_ticks_(epoch_ticks), sample_(std::move(sample)) {
   CAMPS_ASSERT(epoch_ticks_ > 0);
 }
 
@@ -23,7 +20,6 @@ void EpochSampler::start() {
 }
 
 void EpochSampler::fire() {
-  if (keep_going_ && !keep_going_()) return;
   EpochSample s = sample_();
   s.tick = sim_.now();
   samples_.push_back(s);

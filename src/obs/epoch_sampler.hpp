@@ -6,9 +6,9 @@
 // time turning into buffer hits over the run, not just in the end-of-run
 // totals). Samples are pure reads of simulation state — the sampler's
 // events never mutate anything, so enabling it cannot change simulated
-// results — and sampling stops rescheduling as soon as the supplied
-// keep-going predicate turns false, so it never keeps the event queue alive
-// past the measurement window.
+// results. The sampler reschedules itself for as long as the run goes on;
+// the run ends (Simulator::stop) at the last core's measurement boundary,
+// so no sample is taken past the measurement window.
 #pragma once
 
 #include <functional>
@@ -43,12 +43,10 @@ struct EpochSample {
 class EpochSampler {
  public:
   using SampleFn = std::function<EpochSample()>;
-  using KeepGoingFn = std::function<bool()>;
 
-  /// Samples every `epoch_ticks` while `keep_going()` holds. `sample()`
-  /// must fill every field except `tick` (stamped by the sampler).
-  EpochSampler(sim::Simulator& sim, Tick epoch_ticks, SampleFn sample,
-               KeepGoingFn keep_going);
+  /// Samples every `epoch_ticks`. `sample()` must fill every field except
+  /// `tick` (stamped by the sampler).
+  EpochSampler(sim::Simulator& sim, Tick epoch_ticks, SampleFn sample);
 
   /// Schedules the first sample one epoch from now. Call once.
   void start();
@@ -69,7 +67,6 @@ class EpochSampler {
   sim::Simulator& sim_;
   Tick epoch_ticks_;
   SampleFn sample_;
-  KeepGoingFn keep_going_;
   std::vector<EpochSample> samples_;
 };
 

@@ -1,19 +1,20 @@
 // Request-lifecycle tracing: a low-overhead, deterministic span recorder.
 //
 // Every instrumented component (host controller, serial links, crossbar,
-// vault controllers, DRAM banks, prefetch buffers) records Spans — (stage,
-// track, request id, begin tick, end tick) — into one per-System recorder.
+// vault controllers, DRAM banks) records Spans — (stage, track, request id,
+// begin tick, end tick) — into one per-System recorder.
 // The recorder is a fixed-capacity ring: when full, the oldest spans are
 // overwritten, so a run's memory cost is bounded no matter how long it
 // executes and the retained window covers the *end* of the run (the
 // measured region benches care about).
 //
-// Cost model: disabled recorders (the default) cost one predictable branch
-// per instrumentation point — components hold a TraceRecorder* that is
-// nullptr or disabled, and record() returns immediately. Nothing about
-// recording mutates simulation state, so enabling tracing can never change
-// simulated results, and a single run's spans are identical no matter how
-// many sweep worker threads are in flight (each System owns its recorder).
+// Cost model: every instrumented component holds the System's recorder by
+// reference from construction. A disabled recorder (the default) costs one
+// predictable branch per instrumentation point: record() returns
+// immediately. Nothing about recording mutates simulation state, so
+// enabling tracing can never change simulated results, and a single run's
+// spans are identical no matter how many sweep worker threads are in
+// flight (each System owns its recorder).
 #pragma once
 
 #include <string>
@@ -23,7 +24,7 @@
 
 namespace camps::obs {
 
-/// Lifecycle stages, one taxonomy across the whole memory system. The six
+/// Lifecycle stages, one taxonomy across the whole memory system. The five
 /// instrumented components each own at least one stage (see
 /// docs/observability.md for the full map).
 enum class Stage : u8 {
@@ -34,13 +35,13 @@ enum class Stage : u8 {
   kXbarDown,    ///< crossbar: link port -> vault port traversal.
   kXbarUp,      ///< crossbar: vault port -> link port traversal.
   kVaultQueue,  ///< vault_controller: enqueue -> first column issue.
-  kBufferHit,   ///< vault_controller/prefetch_buffer: hit served from SRAM.
+  kBufferHit,   ///< vault_controller: hit served from the prefetch buffer.
   kBankAct,     ///< dram/bank: ACT (row open) window.
   kBankPre,     ///< dram/bank: PRE (row close) window.
   kBankService, ///< dram/bank: column command issue -> last data beat.
   kRowFetch,    ///< dram/bank: whole-row copy into the prefetch buffer.
-  kPfInsert,    ///< prefetch_buffer: row landed (instant).
-  kPfEvict,     ///< prefetch_buffer: row displaced (instant).
+  kPfInsert,    ///< vault_controller: row landed in the buffer (instant).
+  kPfEvict,     ///< vault_controller: buffer row displaced (instant).
   kCount
 };
 

@@ -118,19 +118,6 @@ InsertResult PrefetchBuffer::insert(BankRow row, u64 seed_bitmap,
                                     .dirty = false});
   ++inserts_;
   result.inserted = true;
-  if (trace_ != nullptr) {
-    // Instant markers on the vault lane; the span id folds (bank, row) so a
-    // viewer query can follow one row's residency.
-    const Tick at = stamp * trace_ticks_per_stamp_;
-    trace_->record(obs::Stage::kPfInsert, trace_track_,
-                   (u64{row.bank} << 40) | row.row, at, at);
-    if (result.victim) {
-      trace_->record(obs::Stage::kPfEvict, trace_track_,
-                     (u64{result.victim->id.bank} << 40) |
-                         result.victim->id.row,
-                     at, at);
-    }
-  }
   return result;
 }
 

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "check/audit.hpp"
-#include "obs/trace_recorder.hpp"
 #include "prefetch/replacement.hpp"
 
 namespace camps::prefetch {
@@ -48,16 +47,6 @@ struct InsertResult {
 class PrefetchBuffer final {
  public:
   PrefetchBuffer(const PrefetchBufferConfig& config, Replacement policy);
-
-  /// Arms span recording: inserts and evictions become instant events on
-  /// the vault's trace lane. `ticks_per_stamp` converts the controller's
-  /// insert stamps (DRAM cycles) to global ticks.
-  void attach_trace(obs::TraceRecorder* trace, u32 track,
-                    u64 ticks_per_stamp) {
-    trace_ = trace;
-    trace_track_ = track;
-    trace_ticks_per_stamp_ = ticks_per_stamp;
-  }
 
   /// True if `row` is resident (no state change; used by the scheduler to
   /// filter redundant prefetches).
@@ -158,9 +147,6 @@ class PrefetchBuffer final {
 
   PrefetchBufferConfig cfg_;
   Replacement policy_;
-  obs::TraceRecorder* trace_ = nullptr;
-  u32 trace_track_ = 0;
-  u64 trace_ticks_per_stamp_ = 1;
   std::vector<Entry> rows_;  ///< Front = MRU; position p has recency
                              ///< entries-1-p.
   std::vector<VictimCandidate> candidates_;  ///< Reused by insert().

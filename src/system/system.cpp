@@ -40,17 +40,17 @@ class TranslatingSource final : public trace::TraceSource {
 
 class System::MemoryAdapter final : public cache::MemoryPort {
  public:
-  explicit MemoryAdapter(hmc::HostController* host) : host_(host) {}
+  explicit MemoryAdapter(hmc::HostController& host) : host_(host) {}
 
   void mem_read(Addr line_addr, CoreId core) override {
-    host_->read(line_addr, core);
+    host_.read(line_addr, core);
   }
   void mem_write(Addr line_addr, CoreId core) override {
-    host_->write(line_addr, core);
+    host_.write(line_addr, core);
   }
 
  private:
-  hmc::HostController* host_;
+  hmc::HostController& host_;
 };
 
 System::System(const SystemConfig& config,
@@ -58,7 +58,7 @@ System::System(const SystemConfig& config,
     : cfg_(config) {
   CAMPS_ASSERT_MSG(traces.size() == cfg_.cores,
                    "one trace source per core required");
-  if (cfg_.obs.trace_enabled) trace_.enable(cfg_.obs.trace_capacity);
+  trace_.enable(cfg_.obs.trace_capacity);
   // Completions route by key: a finished read names its line, a finished
   // load names its core.
   host_ = std::make_unique<hmc::HostController>(
@@ -66,10 +66,10 @@ System::System(const SystemConfig& config,
       [this](const hmc::MemRequest& req) {
         caches_->fill_from_memory(req.addr);
       },
-      &trace_);
-  adapter_ = std::make_unique<MemoryAdapter>(host_.get());
+      trace_);
+  adapter_ = std::make_unique<MemoryAdapter>(*host_);
   caches_ = std::make_unique<cache::CacheHierarchy>(
-      sim_, cfg_.caches, cfg_.cores, adapter_.get(),
+      sim_, cfg_.caches, cfg_.cores, *adapter_,
       [this](CoreId core) { cores_[core]->on_load_done(); });
   const u64 slice = cfg_.core_slice_bytes();
   traces_.reserve(cfg_.cores);
@@ -78,7 +78,7 @@ System::System(const SystemConfig& config,
     traces_.push_back(std::make_unique<TranslatingSource>(
         std::move(traces[c]), Addr{c} * slice, slice));
     cores_.push_back(std::make_unique<cpu::Core>(
-        sim_, c, cfg_.core, traces_.back().get(), caches_.get(),
+        sim_, c, cfg_.core, *traces_.back(), *caches_,
         [this](CoreId id) { on_core_warmed(id); },
         [this](CoreId id) { on_core_measured(id); }));
   }
@@ -131,8 +131,7 @@ RunResults System::run() {
   }
   if (cfg_.obs.epoch_ticks > 0) {
     epoch_sampler_ = std::make_unique<obs::EpochSampler>(
-        sim_, cfg_.obs.epoch_ticks, [this] { return sample_epoch(); },
-        [this] { return measured_ != cfg_.cores; });
+        sim_, cfg_.obs.epoch_ticks, [this] { return sample_epoch(); });
     epoch_sampler_->start();
   }
   for (auto& core : cores_) core->start();

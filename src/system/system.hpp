@@ -49,7 +49,6 @@ class System {
   hmc::HostController& memory() { return *host_; }
   const cpu::Core& core(CoreId id) const { return *cores_[id]; }
   StatRegistry& stats() { return stats_; }
-  obs::TraceRecorder& trace() { return trace_; }
 
  private:
   class MemoryAdapter;

@@ -43,7 +43,7 @@ struct Harness {
   Harness()
       : memory(sim, 600 * sim::kCpuTicksPerCycle),
         cfg(small_config()),
-        hier(sim, cfg, /*cores=*/2, &memory, [this](CoreId core) {
+        hier(sim, cfg, /*cores=*/2, memory, [this](CoreId core) {
           loads_done.emplace_back(core, sim.now());
         }) {
     memory.hier = &hier;

@@ -116,7 +116,8 @@ TEST(CleanAudit, EventQueueAfterMixedTraffic) {
 
 TEST(CleanAudit, BankThroughLegalCommandSequence) {
   const dram::TimingParams t = dram::default_timing();
-  dram::Bank bank(t);
+  obs::TraceRecorder trace;  // disabled
+  dram::Bank bank(t, trace, 0);
   auto audit_clean = [&bank](const char* when) {
     AuditReporter rep;
     bank.audit(rep);
@@ -219,7 +220,8 @@ TEST(CorruptionAudit, BufferBitmapMarksLinesPastTheRow) {
 
 TEST(CorruptionAudit, BankFsmStateOutOfRange) {
   const dram::TimingParams t = dram::default_timing();
-  dram::Bank bank(t);
+  obs::TraceRecorder trace;  // disabled
+  dram::Bank bank(t, trace, 0);
   TestCorruptor::scramble_bank_state(bank);
   AuditReporter rep;
   bank.audit(rep);
@@ -228,7 +230,8 @@ TEST(CorruptionAudit, BankFsmStateOutOfRange) {
 
 TEST(CorruptionAudit, BankPrechargeWithoutActivate) {
   const dram::TimingParams t = dram::default_timing();
-  dram::Bank bank(t);
+  obs::TraceRecorder trace;  // disabled
+  dram::Bank bank(t, trace, 0);
   bank.activate(bank.earliest_activate(0), 3);
   TestCorruptor::unbalance_bank_counters(bank);
   AuditReporter rep;

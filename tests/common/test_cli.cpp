@@ -24,7 +24,6 @@ TEST(Cli, ParsesWholeNumbers) {
   EXPECT_EQ(parse_u64("--n", "4294967295", ~u32{0}), ~u32{0});
   EXPECT_DOUBLE_EQ(parse_double("--r", "1e-4"), 1e-4);
   EXPECT_DOUBLE_EQ(parse_double("--r", "0.5"), 0.5);
-  EXPECT_EQ(parse_log_level("--l", "debug"), LogLevel::kDebug);
 }
 
 TEST(Cli, RejectsMalformedNumbersNamingTheFlag) {
@@ -42,7 +41,6 @@ TEST(Cli, RejectsMalformedNumbersNamingTheFlag) {
   for (const char* bad : {"", "oops", "1e-4x", "nan", "inf"}) {
     EXPECT_THROW(parse_double("--fault-rate", bad), UsageError) << bad;
   }
-  EXPECT_THROW(parse_log_level("--log-level", "loud"), UsageError);
 }
 
 }  // namespace

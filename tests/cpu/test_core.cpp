@@ -39,7 +39,7 @@ struct Harness {
   FixedMemory memory{sim, 200 * sim::kCpuTicksPerCycle};
   std::unique_ptr<trace::VectorTraceSource> trace;
   std::unique_ptr<Core> core;
-  cache::CacheHierarchy caches{sim, tiny_caches(), 1, &memory,
+  cache::CacheHierarchy caches{sim, tiny_caches(), 1, memory,
                                [this](CoreId) { core->on_load_done(); }};
   std::vector<CoreId> warmed, measured;
 
@@ -48,7 +48,7 @@ struct Harness {
   void build(std::vector<trace::TraceRecord> records, CoreConfig cfg) {
     trace = std::make_unique<trace::VectorTraceSource>(std::move(records));
     core = std::make_unique<Core>(
-        sim, 0, cfg, trace.get(), &caches,
+        sim, 0, cfg, *trace, caches,
         [this](CoreId id) { warmed.push_back(id); },
         [this](CoreId id) { measured.push_back(id); });
   }
@@ -196,7 +196,7 @@ TEST(Core, TwoCoresShareTheHierarchyIndependently) {
   sim::Simulator sim;
   FixedMemory memory{sim, 200 * sim::kCpuTicksPerCycle};
   std::vector<Core*> by_id;  // load completions route by core id
-  cache::CacheHierarchy caches{sim, tiny_caches(), 2, &memory,
+  cache::CacheHierarchy caches{sim, tiny_caches(), 2, memory,
                                [&](CoreId id) { by_id[id]->on_load_done(); }};
   memory.caches = &caches;
   CoreConfig cfg;
@@ -210,9 +210,9 @@ TEST(Core, TwoCoresShareTheHierarchyIndependently) {
   }
   trace::VectorTraceSource hot_src(hot), cold_src(cold);
   int done = 0;
-  Core fast(sim, 0, cfg, &hot_src, &caches, nullptr,
+  Core fast(sim, 0, cfg, hot_src, caches, [](CoreId) {},
             [&](CoreId) { ++done; });
-  Core slow(sim, 1, cfg, &cold_src, &caches, nullptr,
+  Core slow(sim, 1, cfg, cold_src, caches, [](CoreId) {},
             [&](CoreId) { ++done; });
   by_id = {&fast, &slow};
   fast.start();

@@ -10,7 +10,8 @@ namespace {
 class BankTest : public ::testing::Test {
  protected:
   TimingParams t_ = default_timing();
-  Bank bank_{t_};
+  obs::TraceRecorder trace_;  // disabled
+  Bank bank_{t_, trace_, 0};
 };
 
 TEST_F(BankTest, StartsPrecharged) {
@@ -242,7 +243,8 @@ TEST_P(BankTimingSweep, EarliestQueriesAreLegal) {
   t.tCL = tc.tcl;
   t.tRAS = tc.tras;
   ASSERT_TRUE(t.valid());
-  Bank bank(t);
+  obs::TraceRecorder trace;  // disabled
+  Bank bank(t, trace, 0);
 
   u64 now = 5;
   const u64 act = bank.earliest_activate(now);

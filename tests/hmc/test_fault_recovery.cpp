@@ -16,6 +16,7 @@ namespace {
 struct DeviceHarness {
   sim::Simulator sim;
   StatRegistry stats;
+  obs::TraceRecorder trace;  // disabled
   std::unique_ptr<HostController> host;
   std::vector<MemRequest> done;  ///< Every read-done hook call, in order.
   bool stop_on_done = false;     ///< Stop the run at each read-done call.
@@ -29,9 +30,16 @@ struct DeviceHarness {
         [this](const MemRequest& req) {
           done.push_back(req);
           if (stop_on_done) sim.stop();
-        });
+        },
+        trace);
   }
 };
+
+obs::TraceRecorder disabled_trace;
+
+LinkDirection make_dir(const LinkParams& params = {}) {
+  return LinkDirection(params, disabled_trace, obs::Stage::kLinkDown, 0);
+}
 
 /// Encodes an address that routes to `vault` (link = vault % num_links).
 Addr vault_addr(const DeviceHarness& h, u32 vault, u32 row) {
@@ -52,9 +60,9 @@ TEST(FaultRecovery, CrcFailedTransferReplaysByteIdentically) {
   StatRegistry stats;
   fault::FaultPlan plan(cfg, stats);
 
-  LinkDirection faulty;
+  LinkDirection faulty = make_dir();
   faulty.attach_faults(&plan, /*link_index=*/0, /*upstream=*/false);
-  LinkDirection clean;
+  LinkDirection clean = make_dir();
 
   const auto clean_xfer = clean.submit(0, 1);
   const auto xfer = faulty.submit(0, 1);
@@ -86,7 +94,7 @@ TEST(FaultRecovery, DroppedTransferNeverDelivers) {
   cfg.targeted.push_back({fault::Site::kLinkDownDrop, 0, 0});
   StatRegistry stats;
   fault::FaultPlan plan(cfg, stats);
-  LinkDirection link;
+  LinkDirection link = make_dir();
   link.attach_faults(&plan, 0, false);
   const auto xfer = link.submit(0, 1);
   EXPECT_TRUE(xfer.dropped);
@@ -102,7 +110,7 @@ TEST(FaultRecovery, DroppedTransferNeverDelivers) {
 TEST(FaultRecovery, TokenPoolConservedAndStallsSerialization) {
   LinkParams p;
   p.tokens = 2;  // two 1-flit packets in flight, the third must wait
-  LinkDirection link(p);
+  LinkDirection link = make_dir(p);
 
   const auto first = link.submit(0, 1);
   EXPECT_EQ(link.tokens_available() + link.tokens_pending(), 2u);

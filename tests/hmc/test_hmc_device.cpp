@@ -11,6 +11,7 @@ namespace {
 struct DeviceHarness {
   sim::Simulator sim;
   StatRegistry stats;
+  obs::TraceRecorder trace;  // disabled
   std::unique_ptr<HostController> host;
   std::vector<MemRequest> done;  ///< Every read-done hook call, in order.
 
@@ -20,7 +21,7 @@ struct DeviceHarness {
     cfg.vault.refresh_enabled = false;  // determinism for latency asserts
     host = std::make_unique<HostController>(
         sim, cfg, scheme, prefetch::SchemeParams{}, stats,
-        [this](const MemRequest& req) { done.push_back(req); });
+        [this](const MemRequest& req) { done.push_back(req); }, trace);
   }
 };
 

@@ -41,6 +41,7 @@ TEST_P(ProtocolSoak, InvariantsHold) {
   cfg.vault.page_policy = c.policy;
   cfg.vault.refresh_enabled = c.refresh;
   StatRegistry stats;
+  obs::TraceRecorder trace;  // disabled
 
   // The cheapest possible read: buffer hit (22 CPU cycles) plus one
   // crossbar+link round trip. Anything faster is a simulator bug.
@@ -62,7 +63,8 @@ TEST_P(ProtocolSoak, InvariantsHold) {
                             << "response to an id never issued";
                         EXPECT_GE(sim.now() - submitted[req.id], min_latency)
                             << "response faster than physically possible";
-                      });
+                      },
+                      trace);
 
   u64 x = 2026;
   u64 issued = 0;

@@ -7,10 +7,16 @@
 namespace camps::hmc {
 namespace {
 
+obs::TraceRecorder trace;  // disabled
+
+LinkDirection make_dir(const LinkParams& params = {}) {
+  return LinkDirection(params, trace, obs::Stage::kLinkDown, 0);
+}
+
 TEST(SerialLink, SerializationTimeMatchesBandwidth) {
   // 16 lanes x 12.5 Gbps = 25 bytes/ns. One flit (16 B) = 0.64 ns
   // = 15.36 ticks, rounded up to 16.
-  LinkDirection dir;
+  LinkDirection dir = make_dir();
   EXPECT_EQ(dir.serialization_ticks(1), 16u);
   // 5 flits = 80 B = 3.2 ns = 76.8 ticks -> 77.
   EXPECT_EQ(dir.serialization_ticks(5), 77u);
@@ -19,19 +25,19 @@ TEST(SerialLink, SerializationTimeMatchesBandwidth) {
 TEST(SerialLink, DeliveryIncludesFlightTime) {
   LinkParams p;
   p.flight_ticks = 96;
-  LinkDirection dir(p);
+  LinkDirection dir = make_dir(p);
   EXPECT_EQ(dir.submit(0, 1).deliver, 16u + 96u);
 }
 
 TEST(SerialLink, BackToBackPacketsSerialize) {
-  LinkDirection dir;
+  LinkDirection dir = make_dir();
   const Tick first = dir.submit(0, 5).deliver;
   const Tick second = dir.submit(0, 5).deliver;
   EXPECT_EQ(second - first, dir.serialization_ticks(5));
 }
 
 TEST(SerialLink, IdleGapsDoNotAccumulateCredit) {
-  LinkDirection dir;
+  LinkDirection dir = make_dir();
   dir.submit(0, 1);
   // Submit long after the link went idle: latency is from submission time.
   const Tick t = dir.submit(10000, 1).deliver;
@@ -39,7 +45,7 @@ TEST(SerialLink, IdleGapsDoNotAccumulateCredit) {
 }
 
 TEST(SerialLink, CountsTraffic) {
-  LinkDirection dir;
+  LinkDirection dir = make_dir();
   dir.submit(0, 5);
   dir.submit(0, 1);
   EXPECT_EQ(dir.packets_carried(), 2u);
@@ -49,7 +55,7 @@ TEST(SerialLink, CountsTraffic) {
 }
 
 TEST(SerialLink, DirectionsAreIndependent) {
-  SerialLink link;
+  SerialLink link({}, trace, 0);
   link.downstream().submit(0, 5);
   EXPECT_EQ(link.upstream().busy_until(), 0u);
   link.upstream().submit(0, 5);
@@ -60,7 +66,7 @@ TEST(SerialLink, DirectionsAreIndependent) {
 TEST(SerialLink, ThroughputMatchesTableI) {
   // Saturate one direction for 1 us and verify ~25 GB/s (within the <3%
   // tick-rounding documented in serial_link.hpp).
-  LinkDirection dir;
+  LinkDirection dir = make_dir();
   const Tick horizon = 1000 * sim::kTicksPerNs;
   u64 flits = 0;
   while (dir.busy_until() < horizon) {
@@ -76,7 +82,7 @@ TEST(SerialLink, ThroughputMatchesTableI) {
 TEST(SerialLink, SlowerLinkTakesLonger) {
   LinkParams slow;
   slow.gbps_per_lane = 10.0;
-  LinkDirection fast, slower(slow);
+  LinkDirection fast = make_dir(), slower = make_dir(slow);
   EXPECT_GT(slower.serialization_ticks(5), fast.serialization_ticks(5));
 }
 
@@ -85,7 +91,7 @@ TEST(SerialLink, PowerManagementSleepsAfterTimeout) {
   p.power_management = true;
   p.sleep_timeout = 100;
   p.wake_ticks = 50;
-  LinkDirection dir(p);
+  LinkDirection dir = make_dir(p);
   dir.submit(0, 1);  // first packet never pays a wake penalty
   const Tick busy_after_first = dir.busy_until();
   // A packet well past the timeout pays the retrain latency.
@@ -100,7 +106,7 @@ TEST(SerialLink, PowerManagementIgnoresShortGaps) {
   LinkParams p;
   p.power_management = true;
   p.sleep_timeout = 100;
-  LinkDirection dir(p);
+  LinkDirection dir = make_dir(p);
   dir.submit(0, 1);
   const Tick busy = dir.busy_until();
   dir.submit(busy + 50, 1);  // gap below the timeout
@@ -109,7 +115,7 @@ TEST(SerialLink, PowerManagementIgnoresShortGaps) {
 }
 
 TEST(SerialLink, PowerManagementOffByDefault) {
-  LinkDirection dir;
+  LinkDirection dir = make_dir();
   dir.submit(0, 1);
   dir.submit(1000000, 1);
   EXPECT_EQ(dir.wakeups(), 0u);
@@ -118,7 +124,7 @@ TEST(SerialLink, PowerManagementOffByDefault) {
 TEST(SerialLink, FewerLanesTakeLonger) {
   LinkParams narrow;
   narrow.lanes = 8;
-  LinkDirection full, half(narrow);
+  LinkDirection full = make_dir(), half = make_dir(narrow);
   // Half the lanes, double the time — up to the per-packet ceiling rounding
   // (each serialization rounds up independently).
   EXPECT_GE(half.serialization_ticks(1) + 1, 2 * full.serialization_ticks(1));

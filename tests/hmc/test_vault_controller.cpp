@@ -17,6 +17,7 @@ struct Harness {
   sim::Simulator sim;
   energy::EnergyModel energy;
   StatRegistry stats;
+  obs::TraceRecorder trace;  // disabled
   std::vector<std::pair<u64, Tick>> responses;  // (request id, ready tick)
   std::unique_ptr<VaultController> vault;
   u64 next_id = 1;
@@ -31,9 +32,11 @@ struct Harness {
     const u32 banks = HmcGeometry{}.banks_per_vault;
     vault = std::make_unique<VaultController>(
         sim, 0, banks, cfg, prefetch::make_scheme(scheme, banks, params),
-        energy, stats, [this](const MemRequest& req, Tick ready) {
+        energy, stats,
+        [this](const MemRequest& req, Tick ready) {
           responses.emplace_back(req.id, ready);
-        });
+        },
+        trace);
   }
 
   u64 submit(BankId bank, RowId row, LineId column,
@@ -174,6 +177,32 @@ TEST(VaultController, BasePrefetchesAndPrecharges) {
   const Tick floor = (t.tRCD + t.tCL + t.tROWFETCH) * kDram +
                      VaultConfig{}.buffer.hit_latency * sim::kCpuTicksPerCycle;
   EXPECT_GE(*h.response_time(a), floor);
+}
+
+TEST(VaultController, TracesBufferInsertsAndEvictionsOnItsLane) {
+  Harness h(prefetch::SchemeKind::kBase);
+  h.trace.enable(1024);
+  const u32 rows = VaultConfig{}.buffer.entries + 1;  // forces one eviction
+  for (RowId r = 0; r < rows; ++r) h.submit(0, r, 0);
+  h.run();
+  u32 inserts = 0, evicts = 0;
+  for (const obs::Span& s : h.trace.sorted_spans()) {
+    if (s.stage == obs::Stage::kPfInsert) {
+      ++inserts;
+    } else if (s.stage == obs::Stage::kPfEvict) {
+      ++evicts;
+    } else {
+      continue;
+    }
+    EXPECT_EQ(s.track, 0u);           // the vault's lane
+    EXPECT_EQ(s.begin, s.end);        // an instant
+    EXPECT_EQ(s.begin % kDram, 0u);   // stamped at the fetch's DRAM cycle
+    EXPECT_EQ(s.id >> 40, 0u);        // bank 0, folded above the row
+    EXPECT_LT(s.id & ((u64{1} << 40) - 1), rows);
+  }
+  EXPECT_EQ(inserts, rows);
+  EXPECT_EQ(evicts, 1u);
+  EXPECT_EQ(h.vault->prefetches_issued(), rows);
 }
 
 TEST(VaultController, BaseSecondAccessServedFromBuffer) {

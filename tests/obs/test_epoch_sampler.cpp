@@ -18,8 +18,7 @@ TEST(EpochSampler, SamplesOnScheduleAndStampsTicks) {
         EpochSample s;
         s.demand_reads = reads;
         return s;
-      },
-      [] { return true; });
+      });
   sampler.start();
   // Drive some "work" alongside the sampler, then stop everything at 350.
   sim.schedule(250, [&] { reads = 42; });
@@ -31,19 +30,6 @@ TEST(EpochSampler, SamplesOnScheduleAndStampsTicks) {
   EXPECT_EQ(sampler.samples()[2].tick, 300u);
   EXPECT_EQ(sampler.samples()[0].demand_reads, 0u);
   EXPECT_EQ(sampler.samples()[2].demand_reads, 42u);
-}
-
-TEST(EpochSampler, StopsReschedulingWhenKeepGoingTurnsFalse) {
-  sim::Simulator sim;
-  bool keep_going = true;
-  EpochSampler sampler(
-      sim, 10, [] { return EpochSample{}; }, [&] { return keep_going; });
-  sampler.start();
-  sim.schedule(25, [&] { keep_going = false; });
-  // run() drains the queue: without the keep-going check the sampler would
-  // reschedule itself forever and run() would never return.
-  sim.run();
-  EXPECT_EQ(sampler.samples().size(), 2u);  // ticks 10 and 20 only
 }
 
 TEST(EpochSampler, CsvHasHeaderAndOneRowPerSample) {

@@ -19,11 +19,10 @@
 //     --energy           dump the energy event breakdown
 //     --stats-json=FILE  write results + statistics registry as JSON
 //     --trace-out=FILE   write request-lifecycle spans as Chrome trace JSON
-//     --trace-cap=N      span ring capacity (default 16384)
+//     --trace-cap=N      span ring capacity, at least 1 (default 16384)
 //     --epoch-ticks=N    sample device counters every N ticks
 //     --epoch-csv=FILE   write the epoch time series as CSV
 //     --epoch-json=FILE  write the epoch time series as JSON
-//     --log-level=L      trace|debug|info|warn|error (default warn)
 //
 // Fault injection (docs/fault_injection.md; all off by default):
 //     --fault-rate=R             serial-link CRC-failure rate (per packet)
@@ -42,7 +41,6 @@
 
 #include "common/cli.hpp"
 #include "common/json.hpp"
-#include "common/log.hpp"
 #include "obs/chrome_trace.hpp"
 #include "system/system.hpp"
 #include "workload/workloads.hpp"
@@ -57,7 +55,7 @@ void usage(const char* argv0) {
                "          [--stats-json=FILE] [--trace-out=FILE] "
                "[--trace-cap=N]\n"
                "          [--epoch-ticks=N] [--epoch-csv=FILE] "
-               "[--epoch-json=FILE] [--log-level=L]\n"
+               "[--epoch-json=FILE]\n"
                "          [--fault-rate=R] [--fault-link-drop=R] "
                "[--fault-xbar-drop=R]\n"
                "          [--fault-vault-stall=R] [--fault-seed=N] "
@@ -76,7 +74,7 @@ int main(int argc, char** argv) {
   bool dump_stats = false;
   bool dump_energy = false;
   std::string stats_json_path, trace_out_path, epoch_csv_path, epoch_json_path;
-  u64 trace_cap = 0, epoch_ticks = 0;
+  u64 trace_cap = obs::kDefaultTraceCapacity, epoch_ticks = 0;
   system::SystemConfig cfg = system::table1_config();
   cfg.core.warmup_instructions = 100'000;
   cfg.core.measure_instructions = 500'000;
@@ -145,6 +143,10 @@ int main(int argc, char** argv) {
         trace_out_path = v;
       } else if (cli::flag_value(arg, "--trace-cap", &v)) {
         trace_cap = num("--trace-cap", ~u32{0});
+        if (trace_cap == 0) {
+          throw cli::UsageError("--trace-cap expects at least 1 span, got \"" +
+                                v + "\"");
+        }
       } else if (cli::flag_value(arg, "--epoch-ticks", &v)) {
         epoch_ticks = num("--epoch-ticks");
       } else if (cli::flag_value(arg, "--epoch-csv", &v)) {
@@ -169,8 +171,6 @@ int main(int argc, char** argv) {
             count32("--fault-degrade-threshold");
       } else if (cli::flag_value(arg, "--fault-tokens", &v)) {
         fault_cfg.link_tokens = count32("--fault-tokens");
-      } else if (cli::flag_value(arg, "--log-level", &v)) {
-        set_log_level(cli::parse_log_level("--log-level", v));
       } else if (arg == "--help" || arg == "-h") {
         usage(argv[0]);
         return 0;
@@ -206,8 +206,10 @@ int main(int argc, char** argv) {
     // one built from the defaults plus the fault flags given; fault fields
     // the flags leave unset do not keep the file's values.
     if (have_fault) cfg.hmc.fault = fault_cfg;
-    cfg.obs.trace_enabled = !trace_out_path.empty();
-    if (trace_cap > 0) cfg.obs.trace_capacity = static_cast<u32>(trace_cap);
+    // Tracing is armed by asking for the output file.
+    if (!trace_out_path.empty()) {
+      cfg.obs.trace_capacity = static_cast<u32>(trace_cap);
+    }
     // An epoch output without an explicit period gets a sensible default
     // (10 us of simulated time).
     if (epoch_ticks == 0 &&
@@ -277,11 +279,10 @@ int main(int argc, char** argv) {
     if (!trace_out_path.empty()) {
       const std::string run_name =
           workload + "/" + prefetch::to_string(cfg.scheme);
-      const std::vector<obs::Span> spans = sys->trace().sorted_spans();
-      obs::write_chrome_trace(trace_out_path,
-                              {obs::TraceRun{run_name, &spans}});
+      obs::write_chrome_trace(
+          trace_out_path, {obs::TraceRun{run_name, results.trace_spans.get()}});
       std::fprintf(stderr, "trace written to %s (%zu spans, %llu dropped)\n",
-                   trace_out_path.c_str(), spans.size(),
+                   trace_out_path.c_str(), results.trace_spans->size(),
                    static_cast<unsigned long long>(results.trace_dropped));
     }
     if (results.epochs != nullptr) {
