@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
     d.row = (i / 128) % 64;
     d.column = static_cast<LineId>(i % 8);
     const Tick when = i * 2 * sim::kDramTicksPerCycle;
-    sim.schedule_at(when, [&vault, req, d, when] {
+    sim.schedule_at(when, sim::Site::kVaultArrival, 0, [&vault, req, d, when] {
       vault.receive(req, d, when);
     });
   }

@@ -89,8 +89,8 @@ void CacheHierarchy::read(CoreId core, Addr addr) {
   if (level != 0) {
     if (level >= 3) fill_level(*l2_[core], line, false, core, false);
     if (level >= 2) fill_level(*l1_[core], line, false, core, false);
-    sim_.schedule(Tick{cycles} * sim::kCpuTicksPerCycle,
-                  [this, core, issued] { complete_load(core, issued); });
+    sim_.schedule(Tick{cycles} * sim::kCpuTicksPerCycle, sim::Site::kLoadDone,
+                  core, [this, core, issued] { complete_load(core, issued); });
     return;
   }
 
@@ -103,6 +103,7 @@ void CacheHierarchy::allocate(Addr line, u32 lookup_cycles,
                               const MshrFile::Waiter& waiter) {
   if (mshrs_.allocate(line, waiter) == MshrFile::Allocate::kMustFetch) {
     sim_.schedule(Tick{lookup_cycles} * sim::kCpuTicksPerCycle,
+                  sim::Site::kMissLaunch, waiter.core,
                   [this, core = waiter.core, line] {
                     ++memory_reads_;
                     memory_.mem_read(line, core);

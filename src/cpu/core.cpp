@@ -27,7 +27,8 @@ void Core::start() {
 void Core::schedule_step(Tick when) {
   if (step_scheduled_ || halted_) return;
   step_scheduled_ = true;
-  sim_.schedule_at(std::max(when, sim_.now()), [this] {
+  sim_.schedule_at(std::max(when, sim_.now()), sim::Site::kCoreStep, id_,
+                   [this] {
     step_scheduled_ = false;
     step();
   });

@@ -92,7 +92,8 @@ void HmcDevice::submit(const MemRequest& request, Tick now) {
   if (routed.dropped) return;  // grant lost; host timeout recovers
   const Tick at_vault = routed.deliver;
   VaultController* vault = vaults_[decoded.vault].get();
-  sim_.schedule_at(at_vault, [vault, request, decoded, at_vault] {
+  sim_.schedule_at(at_vault, sim::Site::kVaultArrival, decoded.vault,
+                   [vault, request, decoded, at_vault] {
     vault->receive(request, decoded, at_vault);
   });
 }
@@ -120,7 +121,8 @@ void HmcDevice::on_vault_response(const MemRequest& request, VaultId vault,
   h_lat_link_up_.sample((xfer.deliver - xfer.start) /
                         sim::kCpuTicksPerCycle);
   const Tick at_host = xfer.deliver;
-  sim_.schedule_at(at_host, [this, request] { deliver_(request); });
+  sim_.schedule_at(at_host, sim::Site::kHostResponse, link_idx,
+                   [this, request] { deliver_(request); });
 }
 
 void HmcDevice::note_vault_fault(VaultId vault) {

@@ -16,14 +16,14 @@ EpochSampler::EpochSampler(sim::Simulator& sim, Tick epoch_ticks,
 }
 
 void EpochSampler::start() {
-  sim_.schedule(epoch_ticks_, [this] { fire(); });
+  sim_.schedule(epoch_ticks_, sim::Site::kEpochSample, 0, [this] { fire(); });
 }
 
 void EpochSampler::fire() {
   EpochSample s = sample_();
   s.tick = sim_.now();
   samples_.push_back(s);
-  sim_.schedule(epoch_ticks_, [this] { fire(); });
+  sim_.schedule(epoch_ticks_, sim::Site::kEpochSample, 0, [this] { fire(); });
 }
 
 std::string EpochSampler::series_csv(const std::vector<EpochSample>& samples) {

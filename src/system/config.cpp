@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "hmc/packet.hpp"
+#include "sim/event_queue.hpp"
 
 namespace camps::system {
 
@@ -47,6 +48,15 @@ std::vector<std::string> SystemConfig::validate() const {
         "must be a power of two no larger than 32 (the vault scheduler "
         "tracks banks in a 32-bit mask)");
   check(hmc.num_links >= 1, "hmc.links", hmc.num_links, "must be at least 1");
+  // Cores, vaults and links tag their events with their index, and an event
+  // key holds ids up to sim::kMaxComponentId.
+  const std::string id_rule = "must be at most " +
+                              std::to_string(sim::kMaxComponentId + 1) +
+                              " (event component ids are 16 bits)";
+  check(cores <= sim::kMaxComponentId + 1, "cores", cores, id_rule);
+  check(g.vaults <= sim::kMaxComponentId + 1, "hmc.vaults", g.vaults, id_rule);
+  check(hmc.num_links <= sim::kMaxComponentId + 1, "hmc.links", hmc.num_links,
+        id_rule);
   check(std::has_single_bit(g.rows_per_bank), "hmc.rows_per_bank",
         g.rows_per_bank, "must be a power of two");
   check(hmc.vault.buffer.entries >= 1, "buffer.entries",

@@ -17,7 +17,8 @@ class FakeMemory final : public MemoryPort {
 
   void mem_read(Addr line, CoreId core) override {
     reads.push_back({line, core});
-    sim_.schedule(latency_, [this, line] { hier->fill_from_memory(line); });
+    sim_.schedule(latency_, sim::Site::kHostResponse, 0,
+                  [this, line] { hier->fill_from_memory(line); });
   }
   void mem_write(Addr line, CoreId core) override {
     writes.push_back({line, core});

@@ -15,7 +15,8 @@ class FixedMemory final : public cache::MemoryPort {
   FixedMemory(sim::Simulator& sim, Tick latency) : sim_(sim), latency_(latency) {}
   void mem_read(Addr line, CoreId) override {
     ++reads;
-    sim_.schedule(latency_, [this, line] { caches->fill_from_memory(line); });
+    sim_.schedule(latency_, sim::Site::kHostResponse, 0,
+                  [this, line] { caches->fill_from_memory(line); });
   }
   void mem_write(Addr, CoreId) override { ++writes; }
   u64 reads = 0, writes = 0;

@@ -179,7 +179,7 @@ TEST(HmcDevice, ConflictRateComputedOverAllOutcomes) {
   for (int i = 0; i < 10; ++i) {
     d.row = 1 + (i % 2);
     const Addr addr = map.encode(d);
-    h.sim.schedule_at(static_cast<Tick>(i) * 3000,
+    h.sim.schedule_at(static_cast<Tick>(i) * 3000, sim::Site::kCoreStep, 0,
                       [&h, addr] { h.host->read(addr, 0); });
   }
   h.sim.run();

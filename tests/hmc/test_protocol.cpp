@@ -79,7 +79,7 @@ TEST_P(ProtocolSoak, InvariantsHold) {
       const Addr addr = (x % (u64{1} << 31)) & ~u64{63};
       const bool write = (x & 15) == 0;
       const Tick when = t + static_cast<Tick>(i) * 30;
-      sim.schedule_at(when, [&, addr, write, when] {
+      sim.schedule_at(when, sim::Site::kCoreStep, 0, [&, addr, write, when] {
         if (write) {
           host.write(addr, 0);
         } else {
@@ -98,7 +98,7 @@ TEST_P(ProtocolSoak, InvariantsHold) {
     x = x * 6364136223846793005ULL + 1442695040888963407ULL;
     const Addr addr = (x % (u64{1} << 31)) & ~u64{63};
     const Tick when = t + static_cast<Tick>(i) * 60;
-    sim.schedule_at(when, [&, addr, when] {
+    sim.schedule_at(when, sim::Site::kCoreStep, 0, [&, addr, when] {
       const u64 id = host.read(addr, 0);
       submitted[id] = when;
     });

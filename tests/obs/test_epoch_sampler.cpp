@@ -21,7 +21,7 @@ TEST(EpochSampler, SamplesOnScheduleAndStampsTicks) {
       });
   sampler.start();
   // Drive some "work" alongside the sampler, then stop everything at 350.
-  sim.schedule(250, [&] { reads = 42; });
+  sim.schedule(250, sim::Site::kCoreStep, 0, [&] { reads = 42; });
   sim.run_until(350);
 
   ASSERT_EQ(sampler.samples().size(), 3u);

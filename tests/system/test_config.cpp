@@ -248,6 +248,11 @@ INSTANTIATE_TEST_SUITE_P(
         BadValue{"[hmc]\nbanks = 64", "hmc.banks = 64:", "no larger than 32"},
         BadValue{"[hmc]\nbanks = 12", "hmc.banks = 12:", "power of two"},
         BadValue{"[hmc]\nlinks = 0", "hmc.links = 0:", "at least 1"},
+        BadValue{"cores = 70000", "cores = 70000:", "at most 65536"},
+        BadValue{"[hmc]\nvaults = 131072", "hmc.vaults = 131072:",
+                 "at most 65536"},
+        BadValue{"[hmc]\nlinks = 70000", "hmc.links = 70000:",
+                 "at most 65536"},
         BadValue{"[hmc]\nrows_per_bank = 1000", "hmc.rows_per_bank = 1000:",
                  "power of two"},
         BadValue{"[buffer]\nentries = 0", "buffer.entries = 0:",
