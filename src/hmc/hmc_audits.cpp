@@ -61,6 +61,20 @@ void hmc::VaultController::audit(check::AuditReporter& rep) const {
              std::to_string(wrq_.size()) + " writes queued, capacity " +
                  std::to_string(cfg_.write_queue));
 
+  // Wakes: the vault tracks its one pending wake (a second would let it
+  // issue twice in a cycle), and work never waits without one.
+  const size_t wakes =
+      sim_.queue().pending_count(sim::Site::kVaultWake, id_);
+  const bool tracked = next_wake_tick_ != kTickNever;
+  rep.expect(wakes == (tracked ? 1u : 0u) &&
+                 (!tracked || sim_.queue().pending(wake_event_)),
+             "wake-pending",
+             std::to_string(wakes) + " wakes pending, the vault tracks " +
+                 (tracked ? "one at tick " + std::to_string(next_wake_tick_)
+                          : std::string("none")));
+  rep.expect(!has_work() || wakes == 1, "wake-pending",
+             "queued work with " + std::to_string(wakes) + " wakes pending");
+
   // Every queued coordinate must decode inside this vault's geometry.
   const u64 line_limit = buffer_.config().lines_per_row;
   auto check_entries = [&](const std::deque<QueueEntry>& q, const char* which) {

@@ -7,15 +7,14 @@
 // material of the paper's AMAT metric (Fig. 8).
 //
 // Fault recovery: when the device carries a FaultPlan, every read schedules
-// a timeout event keyed by its request id. The timeout acts only if that id
-// is still outstanding (ids are never reused, so an answered read's timeout
-// fires as a no-op). A read that times out is re-issued under a fresh id
+// a timeout event keyed by its request id, and the answer cancels it, so a
+// timeout that fires always finds its read outstanding. A read that times
+// out is re-issued under a fresh id
 // after a linear backoff; one that exhausts the retry budget completes
 // poisoned (MemRequest::poisoned) so the core side can account the loss
 // instead of hanging. Responses to superseded ids are counted, not
-// delivered. None of this machinery exists at runtime when faults are
-// disabled — no timer events, no extra state — preserving byte-identical
-// fault-free runs.
+// delivered. None of this machinery runs when faults are disabled — no
+// timer events — preserving byte-identical fault-free runs.
 #pragma once
 
 #include <functional>
@@ -77,10 +76,11 @@ class HostController final {
     CoreId core = 0;
     Tick first_created = 0;  ///< Original issue; latency baseline.
     u32 attempt = 1;
+    sim::EventHandle timeout = {};  ///< This id's timeout, if one is armed.
   };
 
   void deliver(const MemRequest& request);
-  /// Retries or poisons `id`; a no-op once `id` is no longer outstanding.
+  /// Retries or poisons `id`, which must still be outstanding.
   void on_timeout(u64 id);
   /// Re-submits `pending` under a fresh id after `backoff` ticks.
   void reissue(Pending pending, Tick backoff);

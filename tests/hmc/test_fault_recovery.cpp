@@ -206,7 +206,7 @@ TEST(FaultRecovery, LateResponseToSupersededIdIsCountedNotDelivered) {
   EXPECT_TRUE(h.host->idle());
 }
 
-TEST(HostController, AnsweredReadsTimeoutFiresAsNoOp) {
+TEST(HostController, AnswerCancelsItsTimeout) {
   HmcConfig cfg;
   // A fault aimed at a link this read never uses keeps recovery (and so
   // the per-read timeout) armed without touching the read itself.
@@ -217,6 +217,7 @@ TEST(HostController, AnsweredReadsTimeoutFiresAsNoOp) {
 
   const Tick issued = h.sim.now();
   const u64 id = h.host->read(vault_addr(h, 0, 1), 0);  // via link 0
+  EXPECT_EQ(h.sim.queue().pending_count(sim::Site::kHostTimeout, 0), 1u);
   h.stop_on_done = true;
   h.sim.run();
   EXPECT_LT(h.sim.now() - issued, cfg.fault.host_timeout_ticks)
@@ -225,13 +226,15 @@ TEST(HostController, AnsweredReadsTimeoutFiresAsNoOp) {
   EXPECT_EQ(h.done[0].id, id);
   EXPECT_FALSE(h.done[0].poisoned);
 
-  // The timeout event is still queued; it fires at its deadline and finds
-  // the id answered.
-  const u64 events_before = h.sim.events_executed();
+  // The answer removed the timeout from the queue: it never fires.
+  EXPECT_EQ(h.sim.queue().pending_count(sim::Site::kHostTimeout, 0), 0u);
+  EXPECT_EQ(h.sim.events_cancelled(), 1u);
   h.sim.run();
-  EXPECT_EQ(h.sim.now(), issued + cfg.fault.host_timeout_ticks)
-      << "the dead timeout is the last event";
-  EXPECT_GT(h.sim.events_executed(), events_before);
+  EXPECT_LT(h.sim.now(), issued + cfg.fault.host_timeout_ticks)
+      << "no event waits for the answered read's deadline";
+  EXPECT_EQ(h.sim.events_by_site()[static_cast<size_t>(
+                sim::Site::kHostTimeout)],
+            0u);
   EXPECT_EQ(h.done.size(), 1u) << "the hook fires exactly once";
   EXPECT_EQ(h.stats.counter_value("fault.host_poisoned"), 0u);
   EXPECT_EQ(h.host->read_latency().count(), 1u);
