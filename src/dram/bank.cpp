@@ -76,6 +76,16 @@ u64 Bank::earliest_precharge(u64 cycle) const {
   return c;
 }
 
+u64 Bank::next_change(u64 cycle) const {
+  u64 next = kTickNever;
+  const u64 col_gate = any_col_ ? last_col_at_ + t_->tCCD : 0;
+  for (const u64 at : {ready_at_, act_at_ + t_->tRCD, act_at_ + t_->tRAS,
+                       rd_pre_gate_, wr_pre_gate_, col_gate}) {
+    if (at > cycle) next = std::min(next, at);
+  }
+  return next;
+}
+
 void Bank::activate(u64 cycle, RowId row, u64 trace_id) {
   settle(cycle);
   CAMPS_ASSERT_MSG(raw_state_ == BankState::kPrecharged,

@@ -53,6 +53,10 @@ class Bank final {
   u64 earliest_column(u64 cycle) const;   ///< RD/WR/row-fetch on open row.
   u64 earliest_precharge(u64 cycle) const;
 
+  /// The first cycle after `cycle` at which any answer above can change
+  /// (a transient settles or a timing gate opens); kTickNever if none can.
+  u64 next_change(u64 cycle) const;
+
   // --- Commands. Each CAMPS_ASSERTs legality at `cycle`. --------------
   void activate(u64 cycle, RowId row, u64 trace_id = 0);
   /// Reads one line; returns the cycle the last data beat arrives.
