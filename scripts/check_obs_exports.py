@@ -30,10 +30,32 @@ LATENCY_STAGES = {
     "buffer_hit", "total_read",
 }
 
+# Scheduling sites of results.events_by_site (sim::Site, docs/observability.md).
+EVENT_SITES = {
+    "host_response", "host_timeout", "host_retry", "load_done", "miss_launch",
+    "core_step", "vault_arrival", "row_copy", "read_data", "vault_wake",
+    "epoch_sample",
+}
+
 
 def fail(msg):
     print(f"check_obs_exports: FAIL: {msg}", file=sys.stderr)
     sys.exit(1)
+
+
+def check_event_counts(path, name, results):
+    """Per-site executed events must cover every site and sum to the total,
+    and the cancelled count must be present."""
+    by_site = results.get("events_by_site")
+    if by_site is None or "events_cancelled" not in results:
+        fail(f"{path}: run {name} lacks events_by_site/events_cancelled")
+    if set(by_site) != EVENT_SITES:
+        fail(f"{path}: run {name} event sites {sorted(by_site)} != "
+             f"{sorted(EVENT_SITES)}")
+    if sum(by_site.values()) != results["events_executed"]:
+        fail(f"{path}: run {name} events_by_site sums to "
+             f"{sum(by_site.values())}, not events_executed "
+             f"{results['events_executed']}")
 
 
 def check_stats(path):
@@ -57,6 +79,7 @@ def check_stats(path):
                  f"{sorted(latency)} != {sorted(LATENCY_STAGES)}")
         if latency["total_read"]["count"] == 0:
             fail(f"{path}: run {run.get('name')} measured no reads")
+        check_event_counts(path, run.get("name"), results)
     if "wall_seconds" in json.dumps(doc):
         fail(f"{path}: wall-clock leaked into a deterministic export")
     print(f"check_obs_exports: {path} OK ({len(doc['runs'])} runs)")
