@@ -29,7 +29,6 @@ system::SystemConfig ExperimentConfig::system_config(
   cfg.max_cycles = max_cycles;
   cfg.audit_every = audit_every;
   cfg.obs = obs;
-  cfg.hmc.fault = fault;
   return cfg;
 }
 

@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "fault/fault_config.hpp"
 #include "obs/obs_config.hpp"
 #include "system/system.hpp"
 #include "workload/workloads.hpp"
@@ -39,11 +38,6 @@ struct ExperimentConfig {
   /// Observability knobs copied into every run's SystemConfig (tracing and
   /// epoch sampling are per-System, so sweeps stay deterministic).
   obs::ObsConfig obs;
-
-  /// Fault-injection campaign copied into every run's SystemConfig.
-  /// Decisions are a pure function of (seed, site, unit, sequence), so a
-  /// fault campaign is as --jobs-invariant as a fault-free sweep.
-  fault::FaultConfig fault;
 
   /// Builds the Table I SystemConfig for one scheme under this experiment
   /// scale. Hook point for ablations: tweak the returned config.

@@ -11,7 +11,8 @@
 // Everything here is plain data so SystemConfig can embed it and the CLI /
 // config file can populate it; the default-constructed config injects
 // nothing and leaves every model path bit-identical to the fault-free
-// simulator.
+// simulator. Every HmcDevice builds a FaultPlan from its FaultConfig, so
+// the fault.* registry entries exist (at zero) in every run.
 #pragma once
 
 #include <vector>
@@ -64,8 +65,10 @@ struct FaultConfig {
   /// Faults observed in one vault before it degrades: the vault quiesces
   /// its prefetch state (buffer + scheme tables flushed). 0 disables.
   u32 vault_degrade_threshold = 0;
-  /// Token-based link flow control: flit credits per link direction.
-  /// 0 disables (unlimited credits — the fault-free model's behaviour).
+  /// Token-based link flow control: flit credits per link direction, the
+  /// only knob of the credit loop (every LinkDirection reads it from its
+  /// plan). 0 disables (unlimited credits — the fault-free model's
+  /// behaviour).
   u32 link_tokens = 0;
 
   /// Seed of the fault process. Independent from the workload seed so the
@@ -74,9 +77,9 @@ struct FaultConfig {
 
   std::vector<TargetedFault> targeted;
 
-  /// True when any fault machinery must be active. Everything downstream
-  /// (timeout events, token accounting, plan lookups) is gated on this so
-  /// a disabled config is bit-identical to a build without the subsystem.
+  /// True when any fault machinery must be active. FaultPlan::roll(), the
+  /// host's read timeouts and RunResults::faults are gated on this, so a
+  /// disabled config is bit-identical to a build without the subsystem.
   bool enabled() const {
     return link_crc_rate > 0.0 || link_drop_rate > 0.0 ||
            xbar_drop_rate > 0.0 || vault_stall_rate > 0.0 ||

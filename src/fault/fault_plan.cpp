@@ -63,6 +63,7 @@ double FaultPlan::rate_for(Site site) const {
 }
 
 bool FaultPlan::roll(Site site, u32 unit) {
+  if (!enabled()) return false;
   const auto key = std::make_pair(static_cast<u8>(site), unit);
   const u64 seq = sequences_[key]++;
   for (const TargetedFault& t : cfg_.targeted) {
@@ -95,11 +96,6 @@ void FaultPlan::count_host_poison(Tick recovery_ticks) {
 
 void FaultPlan::count_host_recovery(Tick recovery_ticks) {
   h_recovery_.sample(recovery_ticks / sim::kCpuTicksPerCycle);
-}
-
-u64 FaultPlan::injected() const {
-  return c_crc_errors_.value() + c_link_drops_.value() +
-         c_xbar_drops_.value() + c_vault_stalls_.value();
 }
 
 }  // namespace camps::fault

@@ -11,6 +11,11 @@
 // The plan also owns the fault-side statistics: injected/recovered counters
 // per mechanism and the per-fault recovery-latency histogram, registered
 // under "fault.*" in the run's StatRegistry.
+//
+// Every HmcDevice holds a plan, built from its FaultConfig. A plan whose
+// config is not enabled() never faults: roll() returns false before it
+// touches any sequence counter, so a fault-free run's decisions, counters
+// (all zero) and events match a simulator without the subsystem.
 #pragma once
 
 #include <map>
@@ -25,10 +30,12 @@ class FaultPlan final {
   FaultPlan(const FaultConfig& config, StatRegistry& stats);
 
   const FaultConfig& config() const { return cfg_; }
+  bool enabled() const { return cfg_.enabled(); }
 
   /// Draws the next decision for `unit` at `site`: advances that site's
   /// sequence counter and returns true when the packet faults (by rate or
-  /// by a targeted fault pinned to this exact coordinate).
+  /// by a targeted fault pinned to this exact coordinate). A disabled plan
+  /// returns false and advances nothing.
   bool roll(Site site, u32 unit);
 
   /// Sequence counter a (site, unit) pair will use next (tests pin
@@ -48,9 +55,6 @@ class FaultPlan final {
   void count_late_response() { c_late_responses_.inc(); }
   void count_degrade_flush() { c_degrade_flushes_.inc(); }
   void count_token_stall_ticks(Tick ticks) { c_token_stall_ticks_.inc(ticks); }
-
-  /// Faults injected so far, summed over every mechanism.
-  u64 injected() const;
 
  private:
   double rate_for(Site site) const;

@@ -8,8 +8,11 @@
 namespace camps::hmc {
 
 Crossbar::Crossbar(u32 output_ports, const CrossbarParams& params,
+                   fault::FaultPlan& faults, u32 fault_unit_base,
                    obs::TraceRecorder& trace, obs::Stage stage)
     : p_(params),
+      faults_(faults),
+      fault_unit_base_(fault_unit_base),
       trace_(trace),
       trace_stage_(stage),
       port_free_(output_ports, 0) {
@@ -18,12 +21,11 @@ Crossbar::Crossbar(u32 output_ports, const CrossbarParams& params,
 
 Crossbar::Routed Crossbar::route(Tick now, u32 port, u64 trace_id) {
   CAMPS_ASSERT(port < port_free_.size());
-  if (plan_ != nullptr &&
-      plan_->roll(fault::Site::kXbarDrop, fault_unit_base_ + port)) {
+  if (faults_.roll(fault::Site::kXbarDrop, fault_unit_base_ + port)) {
     // The arbiter's grant was lost: the packet never traverses and the
     // output port's schedule is untouched. Recovery belongs to the
     // requester (host timeout path).
-    plan_->count_xbar_drop();
+    faults_.count_xbar_drop();
     return Routed{0, true};
   }
   const Tick start = std::max(now, port_free_[port]);

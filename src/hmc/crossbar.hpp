@@ -5,7 +5,9 @@
 // arbitration at each vault port. We model a fixed traversal latency and a
 // per-output-port serializer (one packet per vault port per controller
 // cycle), which captures the congestion that matters without simulating
-// individual switch stages.
+// individual switch stages. Each crossbar takes the device's FaultPlan at
+// construction; the plan decides which grants drop (never, when it is
+// disabled).
 #pragma once
 
 #include <vector>
@@ -31,8 +33,12 @@ struct CrossbarParams {
 class Crossbar {
  public:
   /// Traversals record as `stage` (kXbarDown or kXbarUp) spans on
-  /// `trace`, one lane per output port.
+  /// `trace`, one lane per output port. `faults` decides which grants
+  /// drop; `fault_unit_base` offsets this crossbar's ports in the plan's
+  /// sequence space so the down and up crossbars draw independent decision
+  /// streams.
   Crossbar(u32 output_ports, const CrossbarParams& params,
+           fault::FaultPlan& faults, u32 fault_unit_base,
            obs::TraceRecorder& trace, obs::Stage stage);
 
   /// Outcome of one traversal attempt.
@@ -47,23 +53,15 @@ class Crossbar {
   /// simply never traversed. `trace_id` tags the traversal span.
   Routed route(Tick now, u32 port, u64 trace_id = 0);
 
-  /// Arms fault injection. `unit_base` offsets this crossbar's ports in
-  /// the plan's sequence space so the down and up crossbars draw
-  /// independent decision streams.
-  void attach_faults(fault::FaultPlan* plan, u32 unit_base) {
-    plan_ = plan;
-    fault_unit_base_ = unit_base;
-  }
-
   u64 packets_routed() const { return packets_; }
   u32 ports() const { return static_cast<u32>(port_free_.size()); }
 
  private:
   CrossbarParams p_;
+  fault::FaultPlan& faults_;
+  u32 fault_unit_base_;
   obs::TraceRecorder& trace_;
   obs::Stage trace_stage_;
-  fault::FaultPlan* plan_ = nullptr;
-  u32 fault_unit_base_ = 0;
   std::vector<Tick> port_free_;
   u64 packets_ = 0;
 };

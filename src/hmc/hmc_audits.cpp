@@ -160,7 +160,7 @@ void hmc::HmcDevice::audit(check::AuditReporter& rep) const {
     const check::AuditScope scope(rep, "link" + std::to_string(l));
     auto check_dir = [&](const LinkDirection& dir, const char* which) {
       const u32 pool = cfg_.fault.link_tokens;
-      if (fault_plan_ == nullptr || pool == 0) return;
+      if (pool == 0) return;
       const u32 total = dir.tokens_available() + dir.tokens_pending();
       rep.expect(total == pool, "link-token-conservation",
                  std::string(which) + " direction holds " +

@@ -16,11 +16,16 @@ HmcDevice::HmcDevice(sim::Simulator& sim, const HmcConfig& config,
     : sim_(sim),
       cfg_(config),
       map_(config.geometry, config.field_order),
+      fault_plan_(config.fault, stats),
+      vault_fault_counts_(config.geometry.vaults, 0),
       energy_(config.energy),
       trace_(trace),
-      down_xbar_(config.geometry.vaults, config.crossbar, trace,
-                 obs::Stage::kXbarDown),
-      up_xbar_(config.num_links, config.crossbar, trace, obs::Stage::kXbarUp),
+      // Disjoint unit bases keep the two crossbars' decision streams
+      // independent (down ports are vault ids, up ports are link ids).
+      down_xbar_(config.geometry.vaults, config.crossbar, fault_plan_, 0,
+                 trace, obs::Stage::kXbarDown),
+      up_xbar_(config.num_links, config.crossbar, fault_plan_,
+               config.geometry.vaults, trace, obs::Stage::kXbarUp),
       deliver_(std::move(deliver)),
       h_lat_host_queue_(stats.histogram("latency.host_queue_cycles",
                                         /*bucket_width=*/8,
@@ -32,29 +37,10 @@ HmcDevice::HmcDevice(sim::Simulator& sim, const HmcConfig& config,
                                      /*bucket_width=*/4,
                                      /*num_buckets=*/64)) {
   CAMPS_ASSERT(cfg_.num_links > 0);
-  if (cfg_.fault.enabled()) {
-    fault_plan_ = std::make_unique<fault::FaultPlan>(cfg_.fault, stats);
-    vault_fault_counts_.assign(cfg_.geometry.vaults, 0);
-  }
-  // The flow-control pool rides on LinkParams so the link model owns the
-  // whole credit loop; the fault config is just where users set it.
-  LinkParams link_params = cfg_.link;
-  if (fault_plan_ != nullptr && cfg_.fault.link_tokens > 0) {
-    link_params.tokens = cfg_.fault.link_tokens;
-  }
   links_.reserve(cfg_.num_links);
   for (u32 l = 0; l < cfg_.num_links; ++l) {
-    links_.push_back(std::make_unique<SerialLink>(link_params, trace_, l));
-    if (fault_plan_ != nullptr) {
-      links_[l]->downstream().attach_faults(fault_plan_.get(), l, false);
-      links_[l]->upstream().attach_faults(fault_plan_.get(), l, true);
-    }
-  }
-  if (fault_plan_ != nullptr) {
-    // Disjoint unit bases keep the two crossbars' decision streams
-    // independent (down ports are vault ids, up ports are link ids).
-    down_xbar_.attach_faults(fault_plan_.get(), 0);
-    up_xbar_.attach_faults(fault_plan_.get(), cfg_.geometry.vaults);
+    links_.push_back(
+        std::make_unique<SerialLink>(cfg_.link, fault_plan_, trace_, l));
   }
   const u32 banks = cfg_.geometry.banks_per_vault;
   vaults_.reserve(cfg_.geometry.vaults);
@@ -101,11 +87,10 @@ void HmcDevice::submit(const MemRequest& request, Tick now) {
 void HmcDevice::on_vault_response(const MemRequest& request, VaultId vault,
                                   Tick ready) {
   // Reads only (writes are posted). Chain: crossbar -> upstream link.
-  if (fault_plan_ != nullptr &&
-      fault_plan_->roll(fault::Site::kVaultStall, vault)) {
+  if (fault_plan_.roll(fault::Site::kVaultStall, vault)) {
     // The vault's response logic hiccuped (ECC scrub, TSV retrain, ...):
     // the data leaves late. Repeated stalls degrade the vault.
-    fault_plan_->count_vault_stall();
+    fault_plan_.count_vault_stall();
     ready += cfg_.fault.vault_stall_ticks;
     note_vault_fault(vault);
   }
@@ -132,7 +117,7 @@ void HmcDevice::note_vault_fault(VaultId vault) {
   }
   vault_fault_counts_[vault] = 0;
   vaults_[vault]->degrade_flush();
-  fault_plan_->count_degrade_flush();
+  fault_plan_.count_degrade_flush();
 }
 
 void HmcDevice::reset_stats() {

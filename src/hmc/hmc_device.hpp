@@ -29,9 +29,9 @@ struct HmcConfig {
   CrossbarParams crossbar;
   energy::EnergyParams energy;
   /// Fault injection (disabled by default; see fault/fault_config.hpp).
-  /// When disabled the device constructs no plan and every fault branch is
-  /// a null-pointer check — behaviour and event counts are bit-identical
-  /// to a build without the subsystem.
+  /// The device always builds its FaultPlan from this and hands it to the
+  /// links and crossbars; a disabled plan never faults, so behaviour and
+  /// event counts are bit-identical to a build without the subsystem.
   fault::FaultConfig fault;
 };
 
@@ -67,12 +67,12 @@ class HmcDevice {
 
   const AddressMap& map() const { return map_; }
   const HmcConfig& config() const { return cfg_; }
-  /// The fault plan, or nullptr when fault injection is disabled.
-  fault::FaultPlan* fault_plan() { return fault_plan_.get(); }
-  const fault::FaultPlan* fault_plan() const { return fault_plan_.get(); }
+  /// The fault plan (disabled unless config().fault.enabled()).
+  fault::FaultPlan& fault_plan() { return fault_plan_; }
   energy::EnergyModel& energy() { return energy_; }
   const energy::EnergyModel& energy() const { return energy_; }
   const VaultController& vault(VaultId id) const { return *vaults_[id]; }
+  const SerialLink& link(u32 index) const { return *links_[index]; }
   u32 vault_count() const { return static_cast<u32>(vaults_.size()); }
 
   /// Row-buffer and prefetch totals over every vault.
@@ -103,7 +103,7 @@ class HmcDevice {
   sim::Simulator& sim_;
   HmcConfig cfg_;
   AddressMap map_;
-  std::unique_ptr<fault::FaultPlan> fault_plan_;  ///< Null: faults off.
+  fault::FaultPlan fault_plan_;
   std::vector<u32> vault_fault_counts_;  ///< Since the last degrade flush.
   energy::EnergyModel energy_;
   obs::TraceRecorder& trace_;

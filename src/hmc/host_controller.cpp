@@ -35,7 +35,7 @@ u64 HostController::read(Addr addr, CoreId core) {
   CAMPS_ASSERT(inserted);
   ++reads_;
   const auto& fault_cfg = device_.config().fault;
-  if (device_.fault_plan() != nullptr && fault_cfg.host_timeout_ticks > 0) {
+  if (device_.fault_plan().enabled() && fault_cfg.host_timeout_ticks > 0) {
     it->second.timeout =
         sim_.schedule(fault_cfg.host_timeout_ticks, sim::Site::kHostTimeout,
                       0, [this, id = req.id] { on_timeout(id); });
@@ -61,8 +61,7 @@ void HostController::on_timeout(u64 id) {
   // An answer cancels its timeout, and a retry re-keys the read under a
   // fresh id with its own timeout.
   CAMPS_ASSERT_MSG(it != outstanding_.end(), "timeout of an answered read");
-  fault::FaultPlan* plan = device_.fault_plan();
-  CAMPS_ASSERT_MSG(plan != nullptr, "timeout armed without a fault plan");
+  fault::FaultPlan& plan = device_.fault_plan();
   const auto& fault_cfg = device_.config().fault;
   Pending pending = it->second;
   outstanding_.erase(it);
@@ -76,7 +75,7 @@ void HostController::on_timeout(u64 id) {
     req.core = pending.core;
     req.created = pending.first_created;
     req.poisoned = true;
-    plan->count_host_poison(sim_.now() - pending.first_created);
+    plan.count_host_poison(sim_.now() - pending.first_created);
     trace_.record(obs::Stage::kHostRead, req.core, req.id,
                   pending.first_created, sim_.now());
     on_read_done_(req);
@@ -85,7 +84,7 @@ void HostController::on_timeout(u64 id) {
   // Linear backoff: the n-th retry waits n backoff periods before
   // re-entering the cube, spacing repeated attempts under a fault burst.
   const Tick backoff = fault_cfg.host_backoff_ticks * pending.attempt;
-  plan->count_host_retry();
+  plan.count_host_retry();
   reissue(pending, backoff);
 }
 
@@ -124,12 +123,10 @@ void HostController::deliver(const MemRequest& request) {
   if (it == outstanding_.end()) {
     // Under fault injection a response can race its own timeout: the retry
     // superseded this id, or the poison path already completed it.
-    fault::FaultPlan* plan = device_.fault_plan();
-    if (plan != nullptr) {
-      plan->count_late_response();
-      return;
-    }
-    CAMPS_ASSERT_MSG(false, "response for unknown request");
+    CAMPS_ASSERT_MSG(device_.fault_plan().enabled(),
+                     "response for unknown request");
+    device_.fault_plan().count_late_response();
+    return;
   }
   const Pending& pending = it->second;
   if (pending.timeout) sim_.cancel(pending.timeout);
@@ -139,8 +136,8 @@ void HostController::deliver(const MemRequest& request) {
   trace_.record(obs::Stage::kHostRead, request.core, request.id,
                 pending.first_created, sim_.now());
   if (pending.attempt > 1) {
-    device_.fault_plan()->count_host_recovery(sim_.now() -
-                                              pending.first_created);
+    device_.fault_plan().count_host_recovery(sim_.now() -
+                                             pending.first_created);
   }
   outstanding_.erase(it);
   on_read_done_(request);

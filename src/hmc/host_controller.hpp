@@ -6,15 +6,16 @@
 // access latency (request submission to response delivery) — the raw
 // material of the paper's AMAT metric (Fig. 8).
 //
-// Fault recovery: when the device carries a FaultPlan, every read schedules
-// a timeout event keyed by its request id, and the answer cancels it, so a
+// Fault recovery: when the device's FaultPlan is enabled (and
+// FaultConfig::host_timeout_ticks is non-zero), every read schedules a
+// timeout event keyed by its request id, and the answer cancels it, so a
 // timeout that fires always finds its read outstanding. A read that times
-// out is re-issued under a fresh id
-// after a linear backoff; one that exhausts the retry budget completes
-// poisoned (MemRequest::poisoned) so the core side can account the loss
-// instead of hanging. Responses to superseded ids are counted, not
-// delivered. None of this machinery runs when faults are disabled — no
-// timer events — preserving byte-identical fault-free runs.
+// out is re-issued under a fresh id after a linear backoff; one that
+// exhausts the retry budget completes poisoned (MemRequest::poisoned) so
+// the core side can account the loss instead of hanging. Responses to
+// superseded ids are counted, not delivered. With a disabled plan none of
+// this machinery runs — no timer events — preserving byte-identical
+// fault-free runs.
 #pragma once
 
 #include <functional>

@@ -10,13 +10,15 @@
 namespace camps::hmc {
 
 LinkDirection::LinkDirection(const LinkParams& params,
+                             fault::FaultPlan& faults,
                              obs::TraceRecorder& trace, obs::Stage stage,
                              u32 track)
     : p_(params),
+      faults_(faults),
       trace_(trace),
       trace_stage_(stage),
       trace_track_(track),
-      tokens_available_(params.tokens) {
+      tokens_available_(faults.config().link_tokens) {
   CAMPS_ASSERT(p_.lanes > 0);
   CAMPS_ASSERT(p_.gbps_per_lane > 0.0);
 }
@@ -47,12 +49,13 @@ LinkDirection::Transfer LinkDirection::submit(Tick now, u32 flits,
   CAMPS_ASSERT(flits > 0);
   reap(now);
   Tick start = std::max(now, busy_until_);
+  const u32 pool = faults_.config().link_tokens;
 
   // Flow control: serialization may not begin until enough credits are on
   // hand. Credits return in FIFO order, so draining the pending queue from
   // the front finds the earliest tick with a sufficient balance.
-  if (p_.tokens > 0) {
-    CAMPS_ASSERT_MSG(flits <= p_.tokens,
+  if (pool > 0) {
+    CAMPS_ASSERT_MSG(flits <= pool,
                      "packet larger than the whole token pool");
     Tick credit_ready = start;
     while (tokens_available_ < flits) {
@@ -62,8 +65,8 @@ LinkDirection::Transfer LinkDirection::submit(Tick now, u32 flits,
       tokens_available_ += token_returns_.front().flits;
       token_returns_.pop_front();
     }
-    if (credit_ready > start && plan_ != nullptr) {
-      plan_->count_token_stall_ticks(credit_ready - start);
+    if (credit_ready > start) {
+      faults_.count_token_stall_ticks(credit_ready - start);
     }
     start = std::max(start, credit_ready);
     tokens_available_ -= flits;
@@ -88,52 +91,49 @@ LinkDirection::Transfer LinkDirection::submit(Tick now, u32 flits,
   Transfer xfer;
   xfer.start = start;
 
-  if (plan_ != nullptr) {
-    using fault::Site;
-    const Site crc_site =
-        fault_upstream_ ? Site::kLinkUpCrc : Site::kLinkDownCrc;
-    const Site drop_site =
-        fault_upstream_ ? Site::kLinkUpDrop : Site::kLinkDownDrop;
+  using fault::Site;
+  const bool upstream = trace_stage_ == obs::Stage::kLinkUp;
+  const Site crc_site = upstream ? Site::kLinkUpCrc : Site::kLinkDownCrc;
+  const Site drop_site = upstream ? Site::kLinkUpDrop : Site::kLinkDownDrop;
 
-    if (plan_->roll(drop_site, fault_unit_)) {
-      // Lost beyond replay's reach (models retry-buffer overflow or a
-      // persistent lane failure). The link time was spent; the packet never
-      // arrives — recovery is the requester's problem (host timeout path).
-      plan_->count_link_drop();
-      xfer.dropped = true;
-      trace_.record(trace_stage_, trace_track_, trace_id, start, busy_until_);
-      if (p_.tokens > 0) {
-        // The credits come back regardless (the link-level timeout frees
-        // the far-end buffer slot) — otherwise every drop would shrink the
-        // pool until the link deadlocks.
-        token_returns_.push_back({busy_until_ + p_.token_return_ticks, flits});
-      }
-      return xfer;
+  if (faults_.roll(drop_site, trace_track_)) {
+    // Lost beyond replay's reach (models retry-buffer overflow or a
+    // persistent lane failure). The link time was spent; the packet never
+    // arrives — recovery is the requester's problem (host timeout path).
+    faults_.count_link_drop();
+    xfer.dropped = true;
+    trace_.record(trace_stage_, trace_track_, trace_id, start, busy_until_);
+    if (pool > 0) {
+      // The credits come back regardless (the link-level timeout frees
+      // the far-end buffer slot) — otherwise every drop would shrink the
+      // pool until the link deadlocks.
+      token_returns_.push_back({busy_until_ + p_.token_return_ticks, flits});
     }
-
-    // CRC-failed attempts replay: the corruption is detected at the far
-    // end (the delivery flight already in `deliver`), the retry request
-    // travels back (retry_overhead), and the copy re-serializes behind
-    // whatever else the link accepted meanwhile — delivering the identical
-    // flits, just later. Each replay re-rolls, so bursty CRC faults
-    // compound; the bound is only a safety net against rate = 1.0
-    // configurations.
-    constexpr u32 kMaxReplays = 8;
-    const Tick first_deliver = deliver;
-    const Tick overhead = plan_->config().link_retry_overhead_ticks;
-    while (xfer.replays < kMaxReplays && plan_->roll(crc_site, fault_unit_)) {
-      ++xfer.replays;
-      plan_->count_crc_error();
-      const Tick replay_start = std::max(busy_until_, deliver + overhead);
-      busy_until_ = replay_start + ser;
-      busy_ticks_ += ser;
-      deliver = busy_until_ + p_.flight_ticks;
-    }
-    if (xfer.replays > 0) plan_->count_replay(deliver - first_deliver);
+    return xfer;
   }
 
+  // CRC-failed attempts replay: the corruption is detected at the far
+  // end (the delivery flight already in `deliver`), the retry request
+  // travels back (retry_overhead), and the copy re-serializes behind
+  // whatever else the link accepted meanwhile — delivering the identical
+  // flits, just later. Each replay re-rolls, so bursty CRC faults
+  // compound; the bound is only a safety net against rate = 1.0
+  // configurations.
+  constexpr u32 kMaxReplays = 8;
+  const Tick first_deliver = deliver;
+  const Tick overhead = faults_.config().link_retry_overhead_ticks;
+  while (xfer.replays < kMaxReplays && faults_.roll(crc_site, trace_track_)) {
+    ++xfer.replays;
+    faults_.count_crc_error();
+    const Tick replay_start = std::max(busy_until_, deliver + overhead);
+    busy_until_ = replay_start + ser;
+    busy_ticks_ += ser;
+    deliver = busy_until_ + p_.flight_ticks;
+  }
+  if (xfer.replays > 0) faults_.count_replay(deliver - first_deliver);
+
   trace_.record(trace_stage_, trace_track_, trace_id, start, deliver);
-  if (p_.tokens > 0) {
+  if (pool > 0) {
     token_returns_.push_back({deliver + p_.token_return_ticks, flits});
   }
   xfer.deliver = deliver;

@@ -14,12 +14,13 @@
 // timing is modelled: each failed attempt costs a detection flight, the
 // retry overhead and another serialization, and link time stays charged.
 // An injected drop loses the packet outright (recovery is the requester's
-// host timeout). Token-based flow control (link_tokens > 0) models the HMC
-// credit loop: a packet may not start serializing until enough flit
-// credits have returned from previously delivered packets. Both mechanisms
-// are inert (zero cost, zero state) unless a FaultPlan is attached or
-// tokens are configured; their counts live in the plan's fault.* registry
-// entries.
+// host timeout). Token-based flow control models the HMC credit loop: a
+// packet may not start serializing until enough flit credits have returned
+// from previously delivered packets. Every direction takes the device's
+// FaultPlan at construction: the plan decides each packet's fault, counts
+// it under fault.*, and its FaultConfig::link_tokens sizes the credit pool.
+// With a disabled plan (no faults, link_tokens = 0) both mechanisms are
+// inert: no fault is rolled and no credit is tracked.
 #pragma once
 
 #include <deque>
@@ -40,11 +41,6 @@ struct LinkParams {
   /// One-way SerDes + propagation latency, in ticks (default 4 ns).
   Tick flight_ticks = 96;
 
-  /// Flow-control credits per direction, in flits. 0 disables the token
-  /// loop entirely (the paper's configuration: links are never the
-  /// credit-limited resource). When enabled, a packet's serialization
-  /// stalls until enough credits have returned.
-  u32 tokens = 0;
   /// Credit-loop latency: a delivered packet's tokens return this long
   /// after delivery (default: one flight time back).
   Tick token_return_ticks = 96;
@@ -63,9 +59,12 @@ struct LinkParams {
 class LinkDirection {
  public:
   /// Serializations record as `stage` (kLinkDown or kLinkUp) spans on
-  /// `trace`, on lane `track` (the link index).
-  LinkDirection(const LinkParams& params, obs::TraceRecorder& trace,
-                obs::Stage stage, u32 track);
+  /// `trace`, on lane `track` (the link index). `faults` decides which
+  /// packets CRC-fail or drop: `track` is this link's unit in the plan's
+  /// sequence space and `stage` selects the direction's fault sites. Its
+  /// FaultConfig::link_tokens is the credit pool (0 = no flow control).
+  LinkDirection(const LinkParams& params, fault::FaultPlan& faults,
+                obs::TraceRecorder& trace, obs::Stage stage, u32 track);
 
   /// A packet's passage through this direction: serialization begins at
   /// `start` (>= submission time when the pipe is backed up, waking, or
@@ -88,15 +87,6 @@ class LinkDirection {
   /// (FIFO). `trace_id` tags the serialization span.
   Transfer submit(Tick now, u32 flits, u64 trace_id = 0);
 
-  /// Arms fault injection: `plan` decides which packets CRC-fail or drop.
-  /// `link_index` identifies this link in the plan's per-site sequence
-  /// space; `upstream` selects the direction's fault sites.
-  void attach_faults(fault::FaultPlan* plan, u32 link_index, bool upstream) {
-    plan_ = plan;
-    fault_unit_ = link_index;
-    fault_upstream_ = upstream;
-  }
-
   /// Serialization ticks for `flits` flits at this link's bandwidth.
   Tick serialization_ticks(u32 flits) const;
 
@@ -110,8 +100,8 @@ class LinkDirection {
   u64 wakeups() const { return wakeups_; }
   Tick ticks_asleep() const { return ticks_asleep_; }
 
-  /// Flow-control credits currently available (== params.tokens when the
-  /// loop is disabled or idle).
+  /// Flow-control credits currently available (== the pool when the loop
+  /// is idle, 0 when it is disabled).
   u32 tokens_available() const { return tokens_available_; }
   /// Credits still travelling back from delivered packets.
   u32 tokens_pending() const;
@@ -137,12 +127,10 @@ class LinkDirection {
   void reap(Tick now);
 
   LinkParams p_;
+  fault::FaultPlan& faults_;
   obs::TraceRecorder& trace_;
   obs::Stage trace_stage_;
   u32 trace_track_;
-  fault::FaultPlan* plan_ = nullptr;
-  u32 fault_unit_ = 0;
-  bool fault_upstream_ = false;
   Tick busy_until_ = 0;
   Tick busy_ticks_ = 0;
   u64 flits_carried_ = 0;
@@ -152,16 +140,17 @@ class LinkDirection {
 
   // Flow-control state. Empty/zero when tokens are off.
   std::deque<TokenReturn> token_returns_; ///< FIFO by return tick.
-  u32 tokens_available_ = 0;  ///< Initialized from p_.tokens.
+  u32 tokens_available_ = 0;  ///< Initialized to the pool.
 };
 
 /// A full-duplex link: requests flow downstream, responses upstream.
 class SerialLink {
  public:
-  /// Both directions trace on lane `index`.
-  SerialLink(const LinkParams& params, obs::TraceRecorder& trace, u32 index)
-      : down_(params, trace, obs::Stage::kLinkDown, index),
-        up_(params, trace, obs::Stage::kLinkUp, index) {}
+  /// Both directions trace on lane `index` and are fault unit `index`.
+  SerialLink(const LinkParams& params, fault::FaultPlan& faults,
+             obs::TraceRecorder& trace, u32 index)
+      : down_(params, faults, trace, obs::Stage::kLinkDown, index),
+        up_(params, faults, trace, obs::Stage::kLinkUp, index) {}
 
   LinkDirection& downstream() { return down_; }
   LinkDirection& upstream() { return up_; }

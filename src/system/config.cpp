@@ -76,6 +76,11 @@ std::vector<std::string> SystemConfig::validate() const {
         std::pair{"fault.vault_stall_rate", f.vault_stall_rate}}) {
     check(rate >= 0.0 && rate <= 1.0, key, rate, "must lie in [0, 1]");
   }
+  check(f.host_timeout_ticks > 0 ||
+            (f.link_drop_rate <= 0.0 && f.xbar_drop_rate <= 0.0),
+        "fault.host_timeout_ticks", f.host_timeout_ticks,
+        "must be above 0 while fault.link_drop_rate or fault.xbar_drop_rate "
+        "is (only the timeout recovers a dropped read)");
   // A packet may not start serializing until every one of its flits holds
   // a token, so the pool must cover the largest packet.
   const u32 max_flits = std::max(hmc::flits_for(hmc::PacketKind::kWriteReq),

@@ -37,9 +37,9 @@ struct LatencyBreakdown {
 };
 
 /// Fault-injection accounting for one run. `active` is false (and every
-/// count zero) when the run had no FaultPlan; the JSON omits the whole
-/// object then, keeping fault-free output byte-identical to builds that
-/// predate the subsystem.
+/// count zero) unless the run's FaultConfig was enabled(); the JSON omits
+/// the whole object then, keeping fault-free output byte-identical to
+/// builds that predate the subsystem.
 struct FaultSummary {
   bool active = false;
   u64 crc_errors = 0;       ///< Link transfers that failed CRC.
@@ -115,8 +115,8 @@ struct RunResults {
   /// Per-stage latency breakdown (populated when the run had a registry).
   LatencyBreakdown latency;
 
-  /// Fault-injection accounting (inactive unless the run carried a
-  /// FaultPlan; see fault/fault_config.hpp).
+  /// Fault-injection accounting (inactive unless the run's FaultConfig was
+  /// enabled(); see fault/fault_config.hpp).
   FaultSummary faults;
 
   // Request-lifecycle trace (empty unless SystemConfig::obs enabled it).

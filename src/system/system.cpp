@@ -241,7 +241,7 @@ RunResults System::collect_results() const {
     r.epochs = std::make_shared<const std::vector<obs::EpochSample>>(
         epoch_sampler_->samples());
   }
-  if (device.fault_plan() != nullptr) {
+  if (cfg_.hmc.fault.enabled()) {
     r.faults.active = true;
     r.faults.crc_errors = stats_.counter_value("fault.crc_errors");
     r.faults.replays = stats_.counter_value("fault.replays");

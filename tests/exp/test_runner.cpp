@@ -145,44 +145,44 @@ TEST(Runner, FaultCampaignBitIdenticalAcrossJobs) {
   // shared RNG — so an injection campaign must be exactly as --jobs
   // invariant as a fault-free sweep, fault counters included.
   const std::vector<std::string> workloads = {"LM1", "HM1"};
-  const std::vector<prefetch::SchemeKind> schemes = {
-      prefetch::SchemeKind::kCampsMod};
-
-  ExperimentConfig campaign = tiny();
-  campaign.fault.link_crc_rate = 1e-3;
-  campaign.fault.vault_stall_rate = 1e-4;
-  campaign.fault.vault_degrade_threshold = 8;
-  campaign.fault.seed = 42;
-
-  ExperimentConfig serial_cfg = campaign;
-  serial_cfg.jobs = 1;
-  Runner serial(serial_cfg);
-  serial.run_all(workloads, schemes);
-
-  ExperimentConfig parallel_cfg = campaign;
-  parallel_cfg.jobs = 4;
-  Runner parallel(parallel_cfg);
-  parallel.run_all(workloads, schemes);
-
-  bool any_injected = false;
+  std::vector<Runner::Sim> campaign;
   for (const auto& w : workloads) {
-    for (auto s : schemes) {
-      SCOPED_TRACE(w + "/" + prefetch::to_string(s));
-      const auto& a = serial.result(w, s);
-      const auto& b = parallel.result(w, s);
-      expect_bit_identical(a, b);
-      EXPECT_TRUE(a.faults.active);
-      EXPECT_EQ(a.faults.injected(), b.faults.injected());
-      EXPECT_EQ(a.faults.crc_errors, b.faults.crc_errors);
-      EXPECT_EQ(a.faults.replays, b.faults.replays);
-      EXPECT_EQ(a.faults.vault_stalls, b.faults.vault_stalls);
-      EXPECT_EQ(a.faults.host_retries, b.faults.host_retries);
-      EXPECT_EQ(a.faults.host_poisoned, b.faults.host_poisoned);
-      EXPECT_EQ(a.faults.degrade_flushes, b.faults.degrade_flushes);
-      EXPECT_EQ(a.faults.recovery.count, b.faults.recovery.count);
-      EXPECT_EQ(a.faults.recovery.mean, b.faults.recovery.mean);
-      any_injected |= a.faults.injected() > 0;
-    }
+    system::SystemConfig cfg =
+        tiny().system_config(prefetch::SchemeKind::kCampsMod);
+    cfg.hmc.fault.link_crc_rate = 1e-3;
+    cfg.hmc.fault.vault_stall_rate = 1e-4;
+    cfg.hmc.fault.vault_degrade_threshold = 8;
+    cfg.hmc.fault.seed = 42;
+    campaign.push_back({cfg, w});
+  }
+
+  ExperimentConfig serial_cfg = tiny();
+  serial_cfg.jobs = 1;
+  const auto serial = Runner(serial_cfg).run_sims(campaign);
+
+  ExperimentConfig parallel_cfg = tiny();
+  parallel_cfg.jobs = 4;
+  const auto parallel = Runner(parallel_cfg).run_sims(campaign);
+
+  ASSERT_EQ(serial.size(), workloads.size());
+  ASSERT_EQ(parallel.size(), workloads.size());
+  bool any_injected = false;
+  for (size_t i = 0; i < workloads.size(); ++i) {
+    SCOPED_TRACE(workloads[i]);
+    const auto& a = serial[i];
+    const auto& b = parallel[i];
+    expect_bit_identical(a, b);
+    EXPECT_TRUE(a.faults.active);
+    EXPECT_EQ(a.faults.injected(), b.faults.injected());
+    EXPECT_EQ(a.faults.crc_errors, b.faults.crc_errors);
+    EXPECT_EQ(a.faults.replays, b.faults.replays);
+    EXPECT_EQ(a.faults.vault_stalls, b.faults.vault_stalls);
+    EXPECT_EQ(a.faults.host_retries, b.faults.host_retries);
+    EXPECT_EQ(a.faults.host_poisoned, b.faults.host_poisoned);
+    EXPECT_EQ(a.faults.degrade_flushes, b.faults.degrade_flushes);
+    EXPECT_EQ(a.faults.recovery.count, b.faults.recovery.count);
+    EXPECT_EQ(a.faults.recovery.mean, b.faults.recovery.mean);
+    any_injected |= a.faults.injected() > 0;
   }
   EXPECT_TRUE(any_injected) << "campaign rates too low to exercise anything";
 }

@@ -10,6 +10,14 @@
 namespace camps::fault {
 namespace {
 
+/// Faults injected, summed over every mechanism (as FaultSummary counts).
+u64 injected(const StatRegistry& stats) {
+  return stats.counter_value("fault.crc_errors") +
+         stats.counter_value("fault.link_drops") +
+         stats.counter_value("fault.xbar_drops") +
+         stats.counter_value("fault.vault_stalls");
+}
+
 TEST(FaultPlan, DefaultConfigInjectsNothing) {
   StatRegistry stats;
   FaultPlan plan(FaultConfig{}, stats);
@@ -17,7 +25,27 @@ TEST(FaultPlan, DefaultConfigInjectsNothing) {
     EXPECT_FALSE(plan.roll(Site::kLinkDownCrc, 0));
     EXPECT_FALSE(plan.roll(Site::kVaultStall, static_cast<u32>(i % 32)));
   }
-  EXPECT_EQ(plan.injected(), 0u);
+  EXPECT_EQ(injected(stats), 0u);
+}
+
+TEST(FaultPlan, DisabledPlanAdvancesNoSequence) {
+  StatRegistry stats;
+  FaultPlan plan(FaultConfig{}, stats);
+  EXPECT_FALSE(plan.enabled());
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_FALSE(plan.roll(Site::kLinkUpDrop, 3));
+    EXPECT_FALSE(plan.roll(Site::kXbarDrop, 33));
+  }
+  EXPECT_EQ(plan.next_sequence(Site::kLinkUpDrop, 3), 0u);
+  EXPECT_EQ(plan.next_sequence(Site::kXbarDrop, 33), 0u);
+
+  // An enabled plan advances its sequences even where the rate is zero.
+  FaultConfig tokens;
+  tokens.link_tokens = 16;
+  FaultPlan enabled(tokens, stats);
+  EXPECT_TRUE(enabled.enabled());
+  EXPECT_FALSE(enabled.roll(Site::kLinkUpDrop, 3));
+  EXPECT_EQ(enabled.next_sequence(Site::kLinkUpDrop, 3), 1u);
 }
 
 TEST(FaultPlan, RateOneAlwaysFaults) {
@@ -128,7 +156,7 @@ TEST(FaultPlan, CountersAndHistogramRegister) {
   const Histogram* h = stats.find_histogram("fault.recovery_cycles");
   ASSERT_NE(h, nullptr);
   EXPECT_EQ(h->count(), 2u);  // one replay + one poison
-  EXPECT_EQ(plan.injected(), 4u);  // crc + link drop + xbar drop + stall
+  EXPECT_EQ(injected(stats), 4u);  // crc + link drop + xbar drop + stall
 }
 
 TEST(FaultPlan, EnabledReflectsConfiguration) {

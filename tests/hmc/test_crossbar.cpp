@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include "fault/fault_plan.hpp"
+
 namespace camps::hmc {
 namespace {
 
 obs::TraceRecorder trace;  // disabled
+StatRegistry stats;
+fault::FaultPlan no_faults(fault::FaultConfig{}, stats);  // disabled
 
 Crossbar make_xbar(u32 ports, const CrossbarParams& params = {}) {
-  return Crossbar(ports, params, trace, obs::Stage::kXbarDown);
+  return Crossbar(ports, params, no_faults, 0, trace, obs::Stage::kXbarDown);
 }
 
 TEST(Crossbar, FixedLatency) {

@@ -37,8 +37,8 @@ struct DeviceHarness {
 
 obs::TraceRecorder disabled_trace;
 
-LinkDirection make_dir(const LinkParams& params = {}) {
-  return LinkDirection(params, disabled_trace, obs::Stage::kLinkDown, 0);
+LinkDirection make_dir(fault::FaultPlan& plan, const LinkParams& params = {}) {
+  return LinkDirection(params, plan, disabled_trace, obs::Stage::kLinkDown, 0);
 }
 
 /// Encodes an address that routes to `vault` (link = vault % num_links).
@@ -59,10 +59,11 @@ TEST(FaultRecovery, CrcFailedTransferReplaysByteIdentically) {
                           /*sequence=*/0});
   StatRegistry stats;
   fault::FaultPlan plan(cfg, stats);
+  StatRegistry clean_stats;
+  fault::FaultPlan no_faults(fault::FaultConfig{}, clean_stats);
 
-  LinkDirection faulty = make_dir();
-  faulty.attach_faults(&plan, /*link_index=*/0, /*upstream=*/false);
-  LinkDirection clean = make_dir();
+  LinkDirection faulty = make_dir(plan);  // link 0, downstream
+  LinkDirection clean = make_dir(no_faults);
 
   const auto clean_xfer = clean.submit(0, 1);
   const auto xfer = faulty.submit(0, 1);
@@ -94,8 +95,7 @@ TEST(FaultRecovery, DroppedTransferNeverDelivers) {
   cfg.targeted.push_back({fault::Site::kLinkDownDrop, 0, 0});
   StatRegistry stats;
   fault::FaultPlan plan(cfg, stats);
-  LinkDirection link = make_dir();
-  link.attach_faults(&plan, 0, false);
+  LinkDirection link = make_dir(plan);
   const auto xfer = link.submit(0, 1);
   EXPECT_TRUE(xfer.dropped);
   EXPECT_EQ(xfer.replays, 0u);
@@ -108,9 +108,12 @@ TEST(FaultRecovery, DroppedTransferNeverDelivers) {
 // --- token flow control ------------------------------------------------------
 
 TEST(FaultRecovery, TokenPoolConservedAndStallsSerialization) {
-  LinkParams p;
-  p.tokens = 2;  // two 1-flit packets in flight, the third must wait
-  LinkDirection link = make_dir(p);
+  fault::FaultConfig cfg;
+  cfg.link_tokens = 2;  // two 1-flit packets in flight, the third must wait
+  StatRegistry stats;
+  fault::FaultPlan plan(cfg, stats);
+  const LinkParams p;
+  LinkDirection link = make_dir(plan, p);
 
   const auto first = link.submit(0, 1);
   EXPECT_EQ(link.tokens_available() + link.tokens_pending(), 2u);
@@ -122,6 +125,39 @@ TEST(FaultRecovery, TokenPoolConservedAndStallsSerialization) {
   const auto third = link.submit(0, 1);
   EXPECT_EQ(third.start, first.deliver + p.token_return_ticks);
   EXPECT_EQ(link.tokens_available() + link.tokens_pending(), 2u);
+  EXPECT_GT(stats.counter_value("fault.token_stall_ticks"), 0u);
+}
+
+TEST(FaultRecovery, LinkTokensReachEveryLinkDirection) {
+  HmcConfig cfg;
+  cfg.fault.link_tokens = 16;
+  DeviceHarness h(prefetch::SchemeKind::kNone, cfg);
+  const HmcDevice& device = h.host->device();
+  for (u32 l = 0; l < cfg.num_links; ++l) {
+    SCOPED_TRACE(l);
+    EXPECT_EQ(device.link(l).downstream().tokens_available(), 16u);
+    EXPECT_EQ(device.link(l).upstream().tokens_available(), 16u);
+  }
+}
+
+// --- crossbar grant drop -----------------------------------------------------
+
+TEST(FaultRecovery, DroppedGrantNeverTraverses) {
+  // The up crossbar's ports sit above the down crossbar's in the plan's
+  // sequence space: a fault at unit base + port hits only that crossbar.
+  fault::FaultConfig cfg;
+  cfg.targeted.push_back({fault::Site::kXbarDrop, /*unit=*/32 + 1, 0});
+  StatRegistry stats;
+  fault::FaultPlan plan(cfg, stats);
+  Crossbar down(32, {}, plan, 0, disabled_trace, obs::Stage::kXbarDown);
+  Crossbar up(4, {}, plan, 32, disabled_trace, obs::Stage::kXbarUp);
+
+  EXPECT_FALSE(down.route(0, 1).dropped);
+  EXPECT_TRUE(up.route(0, 1).dropped);
+  EXPECT_EQ(stats.counter_value("fault.xbar_drops"), 1u);
+  // The dropped grant left the port's schedule untouched.
+  EXPECT_EQ(up.packets_routed(), 0u);
+  EXPECT_EQ(up.route(0, 1).deliver, CrossbarParams{}.latency_ticks);
 }
 
 // --- host retry / poison -----------------------------------------------------
@@ -213,7 +249,7 @@ TEST(HostController, AnswerCancelsItsTimeout) {
   cfg.fault.targeted.push_back({fault::Site::kLinkDownDrop, /*unit=*/1,
                                 /*sequence=*/0});
   DeviceHarness h(prefetch::SchemeKind::kNone, cfg);
-  ASSERT_NE(h.host->device().fault_plan(), nullptr);
+  ASSERT_TRUE(h.host->device().fault_plan().enabled());
 
   const Tick issued = h.sim.now();
   const u64 id = h.host->read(vault_addr(h, 0, 1), 0);  // via link 0
@@ -275,14 +311,28 @@ TEST(FaultRecovery, DegradationFlushKeepsEveryAuditInvariant) {
 }
 
 TEST(FaultRecovery, FaultFreeConfigLeavesNoFaultState) {
+  // The plan is always there, disabled: it registers every fault.* entry
+  // at zero, arms no read timeout and never advances a decision sequence.
   DeviceHarness h;
-  EXPECT_EQ(h.host->device().fault_plan(), nullptr);
+  EXPECT_FALSE(h.host->device().fault_plan().enabled());
   h.host->read(0x1000, 0);
+  EXPECT_EQ(h.sim.queue().pending_count(sim::Site::kHostTimeout, 0), 0u);
   h.sim.run();
-  EXPECT_FALSE(h.stats.has_counter("fault.crc_errors"));
-  EXPECT_EQ(h.stats.find_histogram("fault.recovery_cycles"), nullptr);
-  EXPECT_FALSE(h.stats.has_counter("fault.host_poisoned"));
-  EXPECT_FALSE(h.stats.has_counter("fault.host_retries"));
+  for (const char* name :
+       {"fault.crc_errors", "fault.replays", "fault.link_drops",
+        "fault.xbar_drops", "fault.vault_stalls", "fault.host_retries",
+        "fault.host_poisoned", "fault.late_responses",
+        "fault.degrade_flushes", "fault.token_stall_ticks"}) {
+    SCOPED_TRACE(name);
+    EXPECT_TRUE(h.stats.has_counter(name));
+    EXPECT_EQ(h.stats.counter_value(name), 0u);
+  }
+  const Histogram* rec = h.stats.find_histogram("fault.recovery_cycles");
+  ASSERT_NE(rec, nullptr);
+  EXPECT_EQ(rec->count(), 0u);
+  EXPECT_EQ(h.host->device().fault_plan().next_sequence(
+                fault::Site::kLinkDownDrop, 0),
+            0u);
   EXPECT_EQ(h.host->read_latency().count(), 1u);
 }
 

@@ -2,15 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include "fault/fault_plan.hpp"
 #include "sim/clock.hpp"
 
 namespace camps::hmc {
 namespace {
 
 obs::TraceRecorder trace;  // disabled
+StatRegistry stats;
+fault::FaultPlan no_faults(fault::FaultConfig{}, stats);  // disabled
 
 LinkDirection make_dir(const LinkParams& params = {}) {
-  return LinkDirection(params, trace, obs::Stage::kLinkDown, 0);
+  return LinkDirection(params, no_faults, trace, obs::Stage::kLinkDown, 0);
 }
 
 TEST(SerialLink, SerializationTimeMatchesBandwidth) {
@@ -55,7 +58,7 @@ TEST(SerialLink, CountsTraffic) {
 }
 
 TEST(SerialLink, DirectionsAreIndependent) {
-  SerialLink link({}, trace, 0);
+  SerialLink link({}, no_faults, trace, 0);
   link.downstream().submit(0, 5);
   EXPECT_EQ(link.upstream().busy_until(), 0u);
   link.upstream().submit(0, 5);

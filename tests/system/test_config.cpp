@@ -207,6 +207,18 @@ TEST(SystemConfig, PresetConfigsValidate) {
   EXPECT_TRUE(hmc_gen1_config().validate().empty());
 }
 
+TEST(SystemConfig, ReadTimeoutsMayBeOffOnlyWithoutDrops) {
+  SystemConfig cfg = table1_config();
+  cfg.hmc.fault.host_timeout_ticks = 0;
+  cfg.hmc.fault.link_crc_rate = 0.01;  // replayed, never lost
+  EXPECT_TRUE(cfg.validate().empty());
+  cfg.hmc.fault.xbar_drop_rate = 0.01;
+  const std::vector<std::string> errors = cfg.validate();
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_EQ(errors[0].rfind("fault.host_timeout_ticks = 0:", 0), 0u)
+      << errors[0];
+}
+
 // One row per bound SystemConfig::validate() enforces: an INI override
 // that a component constructor would assert on, the key the error must
 // name, and a phrase of the rule it must state.
@@ -272,7 +284,10 @@ INSTANTIATE_TEST_SUITE_P(
         BadValue{"[fault]\nvault_stall_rate = 3",
                  "fault.vault_stall_rate = 3:", "[0, 1]"},
         BadValue{"[fault]\nlink_tokens = 2", "fault.link_tokens = 2:",
-                 "largest packet (5 flits)"}));
+                 "largest packet (5 flits)"},
+        BadValue{"[fault]\nlink_drop_rate = 0.01\nhost_timeout_ticks = 0",
+                 "fault.host_timeout_ticks = 0:",
+                 "above 0 while fault.link_drop_rate"}));
 
 }  // namespace
 }  // namespace camps::system

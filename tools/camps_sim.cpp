@@ -34,7 +34,6 @@
 //     --fault-degrade-threshold=N  vault faults per degradation flush
 //     --fault-tokens=N           link flow-control credits (flits; 0 = off)
 #include <cstdio>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -79,13 +78,27 @@ int main(int argc, char** argv) {
   cfg.core.warmup_instructions = 100'000;
   cfg.core.measure_instructions = 500'000;
 
-  std::optional<prefetch::SchemeKind> scheme;
-  u64 warmup = 0, measure = 0, seed = 0;
-  bool have_warmup = false, have_measure = false, have_seed = false;
-  u64 audit_every = 0;
-  bool have_audit = false;
-  fault::FaultConfig fault_cfg;
-  bool have_fault = false;
+  // Flags override the config file key by key, so the file loads first.
+  // One that is unreadable, malformed, names an unknown key or holds a
+  // value out of its field's range is a usage error.
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    std::string v;
+    if (cli::flag_value(arg, "--config", &v)) config_path = v;
+    if (arg == "--help" || arg == "-h") {
+      usage(argv[0]);
+      return 0;
+    }
+  }
+  try {
+    if (!config_path.empty()) {
+      cfg = system::apply_overrides(cfg, ConfigFile::load(config_path));
+    }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+    return 2;
+  }
+  fault::FaultConfig& fault_cfg = cfg.hmc.fault;
 
   try {
     for (int i = 1; i < argc; ++i) {
@@ -94,13 +107,7 @@ int main(int argc, char** argv) {
       auto num = [&](const char* flag, u64 max = ~u64{0}) {
         return cli::parse_u64(flag, v, max);
       };
-      // The fault-flag parsers also mark the fault block as overridden.
-      auto rate = [&](const char* flag) {
-        have_fault = true;
-        return cli::parse_double(flag, v);
-      };
       auto count32 = [&](const char* flag) {
-        have_fault = true;
         return static_cast<u32>(num(flag, ~u32{0}));
       };
       // Names resolve at their flag, so a typo exits before the run
@@ -115,24 +122,19 @@ int main(int argc, char** argv) {
       if (cli::flag_value(arg, "--workload", &v)) {
         workload = lookup("--workload", workload::workload).id;
       } else if (cli::flag_value(arg, "--scheme", &v)) {
-        scheme = lookup("--scheme", prefetch::scheme_from_string);
+        cfg.scheme = lookup("--scheme", prefetch::scheme_from_string);
       } else if (cli::flag_value(arg, "--config", &v)) {
-        config_path = v;
+        // Loaded above.
       } else if (cli::flag_value(arg, "--warmup", &v)) {
-        warmup = num("--warmup");
-        have_warmup = true;
+        cfg.core.warmup_instructions = num("--warmup");
       } else if (cli::flag_value(arg, "--measure", &v)) {
-        measure = num("--measure");
-        have_measure = true;
+        cfg.core.measure_instructions = num("--measure");
       } else if (cli::flag_value(arg, "--seed", &v)) {
-        seed = num("--seed");
-        have_seed = true;
+        cfg.seed = num("--seed");
       } else if (arg == "--audit") {
-        audit_every = 100'000;
-        have_audit = true;
+        cfg.audit_every = 100'000;
       } else if (cli::flag_value(arg, "--audit-every", &v)) {
-        audit_every = num("--audit-every");
-        have_audit = true;
+        cfg.audit_every = num("--audit-every");
       } else if (arg == "--stats") {
         dump_stats = true;
       } else if (arg == "--energy") {
@@ -154,16 +156,16 @@ int main(int argc, char** argv) {
       } else if (cli::flag_value(arg, "--epoch-json", &v)) {
         epoch_json_path = v;
       } else if (cli::flag_value(arg, "--fault-rate", &v)) {
-        fault_cfg.link_crc_rate = rate("--fault-rate");
+        fault_cfg.link_crc_rate = cli::parse_double("--fault-rate", v);
       } else if (cli::flag_value(arg, "--fault-link-drop", &v)) {
-        fault_cfg.link_drop_rate = rate("--fault-link-drop");
+        fault_cfg.link_drop_rate = cli::parse_double("--fault-link-drop", v);
       } else if (cli::flag_value(arg, "--fault-xbar-drop", &v)) {
-        fault_cfg.xbar_drop_rate = rate("--fault-xbar-drop");
+        fault_cfg.xbar_drop_rate = cli::parse_double("--fault-xbar-drop", v);
       } else if (cli::flag_value(arg, "--fault-vault-stall", &v)) {
-        fault_cfg.vault_stall_rate = rate("--fault-vault-stall");
+        fault_cfg.vault_stall_rate =
+            cli::parse_double("--fault-vault-stall", v);
       } else if (cli::flag_value(arg, "--fault-seed", &v)) {
         fault_cfg.seed = num("--fault-seed");
-        have_fault = true;
       } else if (cli::flag_value(arg, "--fault-retry-budget", &v)) {
         fault_cfg.host_retry_budget = count32("--fault-retry-budget");
       } else if (cli::flag_value(arg, "--fault-degrade-threshold", &v)) {
@@ -171,9 +173,6 @@ int main(int argc, char** argv) {
             count32("--fault-degrade-threshold");
       } else if (cli::flag_value(arg, "--fault-tokens", &v)) {
         fault_cfg.link_tokens = count32("--fault-tokens");
-      } else if (arg == "--help" || arg == "-h") {
-        usage(argv[0]);
-        return 0;
       } else {
         throw cli::UsageError("unknown argument: " + arg);
       }
@@ -184,28 +183,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // A config file that is unreadable, malformed, names an unknown key or
-  // holds a value out of its field's range is a usage error.
   try {
-    if (!config_path.empty()) {
-      cfg = system::apply_overrides(cfg, ConfigFile::load(config_path));
-    }
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-    return 2;
-  }
-
-  try {
-    // Command-line flags win over the config file.
-    if (scheme) cfg.scheme = *scheme;
-    if (have_warmup) cfg.core.warmup_instructions = warmup;
-    if (have_measure) cfg.core.measure_instructions = measure;
-    if (have_seed) cfg.seed = seed;
-    if (have_audit) cfg.audit_every = audit_every;
-    // Any --fault-* flag replaces the config file's whole fault block with
-    // one built from the defaults plus the fault flags given; fault fields
-    // the flags leave unset do not keep the file's values.
-    if (have_fault) cfg.hmc.fault = fault_cfg;
     // Tracing is armed by asking for the output file.
     if (!trace_out_path.empty()) {
       cfg.obs.trace_capacity = static_cast<u32>(trace_cap);
